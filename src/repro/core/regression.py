@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Sequence, Tuple
 
 import numpy as np
-from scipy import optimize
 
 from repro.utils.stats import GoodnessOfFit, goodness_of_fit
 
@@ -108,6 +107,9 @@ def fit_power_law(
     def residuals(theta):
         a, b, c = theta
         return a * x**b + c - y
+
+    # Deferred so ``import repro`` does not load scipy.optimize.
+    from scipy import optimize
 
     lower = [0.0 if nonnegative_a else -np.inf, b_lo, -np.inf]
     upper = [np.inf, b_hi, np.inf]

@@ -137,9 +137,11 @@ class DistributedExecutor(Executor):
     *cache_dir* — shared on-disk result-cache directory for the fleet;
     the default ``"auto"`` forwards the process cache's disk tier.
     *chaos_kill_after* — fault-injection hook: SIGKILL one busy worker
-    after this many shard commits (once per executor). This is the
-    chaos-test discipline of :mod:`repro.resilience` applied to the
-    fleet itself; production callers leave it ``None``.
+    after this many shard commits (once per executor); ``0`` kills the
+    first worker to join, as it joins, so the fleet loses a worker
+    during bootstrap. This is the chaos-test discipline of
+    :mod:`repro.resilience` applied to the fleet itself; production
+    callers leave it ``None``.
     """
 
     name = "distributed"
@@ -212,6 +214,7 @@ class DistributedExecutor(Executor):
         self._respawns = 0
         self._respawn_due = 0.0
         self._respawning = False
+        self._bootstrapping = False
         self._chaos_done = False
         self._closed = False
         self._listener: Optional[socket.socket] = None
@@ -304,32 +307,62 @@ class DistributedExecutor(Executor):
         ).inc()
         return proc
 
+    def _live_locked(self) -> int:
+        return sum(1 for w in self._workers.values() if w.alive)
+
+    def _joining_locked(self) -> int:
+        """Self-spawned processes still running but not yet admitted."""
+        admitted = {w.pid for w in self._workers.values()}
+        return sum(
+            1 for p in self._spawned_procs
+            if p.poll() is None and p.pid not in admitted
+        )
+
+    def _respawn_wanted_locked(self) -> bool:
+        """True while bootstrap or an unfinished map waits on workers."""
+        state = self._state
+        return self._bootstrapping or (state is not None and not state.done)
+
     def _ensure_fleet(self) -> None:
         with self._lock:
             if self._closed:
                 raise FleetError("executor is closed")
             self._bind()
-            live = sum(1 for w in self._workers.values() if w.alive)
-            to_spawn = self.workers - live if self.spawn else 0
+            to_spawn = self.workers - self._live_locked() if self.spawn else 0
             for _ in range(max(0, to_spawn)):
                 self._spawn_worker()
             want = self.workers if self.spawn else 1
+            # A worker that dies before its siblings join is respawned
+            # against the same budget and backoff as one lost mid-map.
+            self._bootstrapping = True
         deadline = time.monotonic() + self.spawn_timeout_s
-        with self._cond:
-            while True:
-                live = sum(1 for w in self._workers.values() if w.alive)
-                if live >= want:
-                    return
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise FleetError(
-                        f"only {live}/{want} workers joined within "
-                        f"{self.spawn_timeout_s:.0f}s"
-                        + ("" if self.spawn else
-                           " (external mode: start a fleet with "
-                           "'repro-tool workers')")
-                    )
-                self._cond.wait(min(remaining, 0.2))
+        try:
+            with self._cond:
+                while True:
+                    live = self._live_locked()
+                    if live >= want:
+                        return
+                    if self.spawn and not (
+                        self._respawning or self._respawn_due > 0.0
+                    ) and live + self._joining_locked() < want:
+                        raise FleetError(
+                            f"only {live}/{want} workers joined and no "
+                            "respawn is scheduled (budget "
+                            f"{self._respawns}/{self.max_respawns} used)"
+                        )
+                    remaining = deadline - time.monotonic()
+                    if remaining <= 0:
+                        raise FleetError(
+                            f"only {live}/{want} workers joined within "
+                            f"{self.spawn_timeout_s:.0f}s"
+                            + ("" if self.spawn else
+                               " (external mode: start a fleet with "
+                               "'repro-tool workers')")
+                        )
+                    self._cond.wait(min(remaining, 0.2))
+        finally:
+            with self._lock:
+                self._bootstrapping = False
 
     def _accept_loop(self) -> None:
         while not self._closed:
@@ -370,6 +403,15 @@ class DistributedExecutor(Executor):
             )
             handle = _WorkerHandle(worker_id, conn, pid, proc=proc)
             self._workers[worker_id] = handle
+            if self.chaos_kill_after == 0 and not self._chaos_done \
+                    and pid > 0:
+                # Declared dead in the same lock hold that admits it, so
+                # no waiter ever counts it live: the bootstrap death is
+                # deterministic.
+                self._chaos_done = True
+                self._on_worker_dead(handle, "chaos kill (fault injection)")
+                self._sigkill(handle)
+                return
             self._cond.notify_all()
         thread = threading.Thread(
             target=self._reader_loop, args=(handle,),
@@ -545,7 +587,7 @@ class DistributedExecutor(Executor):
                         "repro_dist_reassignments_total",
                         "In-flight shards requeued after a worker died",
                     ).inc()
-            if self.spawn and state is not None and not state.done \
+            if self.spawn and self._respawn_wanted_locked() \
                     and self._respawns < self.max_respawns:
                 self._respawns += 1
                 self._respawn_due = time.monotonic() + \
@@ -588,12 +630,12 @@ class DistributedExecutor(Executor):
                         ))
                 due = (
                     self._respawn_due and now >= self._respawn_due
-                    and self._state is not None and not self._state.done
+                    and self._respawn_wanted_locked()
                 )
                 if due:
                     self._respawn_due = 0.0
-                    live = sum(1 for w in self._workers.values() if w.alive)
-                    spawn_now = max(0, self.workers - live)
+                    spawn_now = max(0, self.workers - self._live_locked()
+                                    - self._joining_locked())
                     if spawn_now:
                         # Holds off _wait_locked's all-dead check until
                         # the replacement processes are on the books.
@@ -787,15 +829,10 @@ class DistributedExecutor(Executor):
         while not state.done:
             if self._closed:
                 raise FleetError("executor closed during a map")
-            live = sum(1 for w in self._workers.values() if w.alive)
-            if live == 0 and (state.pending or state.inflight):
-                admitted = {w.pid for w in self._workers.values()}
-                joining = any(
-                    p.poll() is None and p.pid not in admitted
-                    for p in self._spawned_procs
-                )
+            if self._live_locked() == 0 and (state.pending or state.inflight):
                 can_respawn = (
-                    joining or self._respawning or self._respawn_due > 0.0
+                    self._joining_locked() > 0 or self._respawning
+                    or self._respawn_due > 0.0
                 )
                 if not can_respawn:
                     raise WorkerLostError(

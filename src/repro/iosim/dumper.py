@@ -11,15 +11,28 @@ With *chunk_bytes* set, the ratio measurement shards the sample field
 into slabs and runs them through a :mod:`repro.parallel` executor; the
 per-slab timing lands on :attr:`DumpReport.parallel` so scaling can be
 tracked alongside the energy numbers.
+
+A :class:`DataDumper` measures each distinct ratio once. On the
+monolithic path (``chunk_bytes`` unset, with or without a fault plan)
+it keeps a per-instance map from (codec name, codec settings, sample
+content digest, error bound) to the measured ratio, and later
+snapshots of the same sample reuse it; their ``dump.ratio`` span
+carries ``reused=True``. The map lives exactly as long as the dumper
+(one per :func:`~repro.workflow.campaign.run_campaign` call), so reuse
+applies under ``--no-cache`` and never outlives the run; it is not the
+``sweep.ratio`` entry of :mod:`repro.cache`. The chunked path still
+compresses every snapshot: its per-slab stats, slab faults and
+container bit-flip checks need the real container.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
+from repro.cache.fingerprint import fingerprint
 from repro.compressors.base import Compressor
 from repro.compressors.chunked import ChunkedCompressor
 from repro.hardware.node import SimulatedNode
@@ -113,6 +126,8 @@ class DataDumper:
         self.chunk_bytes = None if chunk_bytes is None else int(chunk_bytes)
         self.executor = executor
         self.workers = workers
+        # Monolithic ratio per _ratio_key; see the module docstring.
+        self._ratios: Dict[str, float] = {}
 
     def _run_stage(self, workload, freq_ghz: float):
         self.node.set_frequency(freq_ghz)
@@ -120,6 +135,13 @@ class DataDumper:
         runtime = float(np.mean([m.runtime_s for m in runs]))
         energy = float(np.mean([m.energy_j for m in runs]))
         return runs[0].freq_ghz, runtime, energy
+
+    @staticmethod
+    def _ratio_key(compressor, sample_field, error_bound) -> str:
+        return fingerprint(
+            codec=compressor.name, settings=vars(compressor),
+            data=sample_field, error_bound=float(error_bound),
+        )
 
     def _n_slabs(self, sample_field: np.ndarray) -> int:
         """Slab count :class:`ChunkedCompressor` will produce (mirror of
@@ -209,6 +231,7 @@ class DataDumper:
     ) -> DumpReport:
         parallel: Optional[ParallelStats] = None
         retried_slabs: Tuple[int, ...] = ()
+        buf = None
         with tracer.span("dump.ratio", bytes_in=sample_field.nbytes) as sp:
             if self.chunk_bytes is not None:
                 fault_kwargs = {}
@@ -231,9 +254,15 @@ class DataDumper:
                 buf = chunked.compress(sample_field, error_bound)
                 parallel = chunked.last_stats
                 retried_slabs = parallel.retried_tasks if parallel else ()
+                ratio = buf.ratio
             else:
-                buf = compressor.compress(sample_field, error_bound)
-            ratio = buf.ratio
+                key = self._ratio_key(compressor, sample_field, error_bound)
+                ratio = self._ratios.get(key)
+                if ratio is None:
+                    ratio = compressor.compress(sample_field, error_bound).ratio
+                    self._ratios[key] = ratio
+                else:
+                    sp.set(reused=True)
             sp.set(ratio=ratio)
         compressed_bytes = max(1, int(round(target_bytes / ratio)))
 

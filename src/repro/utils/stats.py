@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 __all__ = [
     "sse",
@@ -98,8 +97,12 @@ def mean_confidence_interval(samples, confidence: float = 0.95):
     mean = float(np.mean(arr))
     if arr.size == 1:
         return mean, 0.0
+    # Imported here: scipy.stats costs ~0.5 s and nothing else in the
+    # package needs it, so ``import repro`` stays SciPy-free.
+    from scipy import stats
+
     sem = float(np.std(arr, ddof=1) / np.sqrt(arr.size))
-    tcrit = float(_scipy_stats.t.ppf(0.5 + confidence / 2.0, df=arr.size - 1))
+    tcrit = float(stats.t.ppf(0.5 + confidence / 2.0, df=arr.size - 1))
     return mean, sem * tcrit
 
 

@@ -20,6 +20,22 @@ class TestParser:
             build_parser().parse_args(["experiment", "figure99"])
 
 
+class TestColdStart:
+    @pytest.mark.parametrize("module", ["repro", "repro.cli"])
+    def test_import_loads_no_scipy(self, module):
+        import subprocess
+        import sys
+
+        # SciPy costs ~0.5 s per interpreter; only the fitting and
+        # confidence-interval code paths may load it, on first use.
+        code = (
+            f"import sys; import {module}; "
+            "sys.exit(1 if any(m == 'scipy' or m.startswith('scipy.') "
+            "for m in sys.modules) else 0)"
+        )
+        assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+
+
 class TestDatasets:
     def test_lists_registered(self, capsys):
         assert main(["datasets"]) == 0

@@ -14,6 +14,9 @@ Kills are injected two ways:
 * an external ``os.kill(pid, SIGKILL)`` on a pid from
   :meth:`worker_pids`, the way an operator or OOM killer would.
 
+``chaos_kill_after=0`` kills the first worker to join while the fleet
+is still assembling, pinning that bootstrap respawns a lost worker.
+
 A third family exercises the failure *boundary*: a poison shard that
 kills every worker it touches must exhaust its kill budget and fail
 the map with :class:`WorkerLostError` instead of respawning forever.
@@ -116,6 +119,32 @@ class TestChaosKnobCampaign:
             assert ex._chaos_done
         finally:
             ex.close()
+
+
+class TestBootstrapDeath:
+    def test_first_worker_to_join_is_killed_and_replaced(self):
+        spawned = get_registry().counter(
+            "repro_dist_workers_spawned_total",
+            help="Worker processes launched by distributed executors",
+        )
+        before = spawned.value
+        ex = DistributedExecutor(
+            2, chaos_kill_after=0, heartbeat_s=0.2, heartbeat_timeout_s=5.0
+        )
+        try:
+            out = ex.map(_slow_square, list(range(8)))
+            live = ex.worker_pids()
+            respawns = ex._respawns
+            assert ex._chaos_done
+        finally:
+            ex.close()
+        assert out == [x * x for x in range(8)]
+        # The victim died before the map existed: one respawn from the
+        # bootstrap budget, no reassignment, and a full fleet after it.
+        assert respawns == 1
+        assert ex.reassignment_log == []
+        assert len(live) == 2
+        assert spawned.value == before + 3
 
 
 class TestExternalSigkill:

@@ -3,11 +3,16 @@
 import numpy as np
 import pytest
 
+from repro.cache import ResultCache, encode_value, use_cache
 from repro.compressors import SZCompressor, ZFPCompressor
 from repro.data import load_field
 from repro.hardware.cpu import BROADWELL_D1548
 from repro.hardware.node import SimulatedNode
 from repro.iosim.dumper import DataDumper
+from repro.observability import Tracer, get_registry, use_tracer
+from repro.resilience.faults import FaultKind, FaultPlan, FaultSpec
+from repro.workflow import campaign as campaign_module
+from repro.workflow.campaign import CheckpointCampaign, run_campaign
 
 
 @pytest.fixture(scope="module")
@@ -125,3 +130,106 @@ class TestChunkedDump:
         node = SimulatedNode(BROADWELL_D1548)
         with pytest.raises(ValueError):
             DataDumper(node, chunk_bytes=0)
+
+
+def _compress_calls(codec="sz"):
+    return get_registry().counter(
+        "repro_compress_calls_total", {"codec": codec},
+        help="Compressor.compress invocations",
+    ).value
+
+
+class _FreshDumperPerSnapshot:
+    """Stands in for DataDumper inside run_campaign: every dump call
+    goes through a brand-new dumper, so no ratio is ever reused."""
+
+    def __init__(self, *args, **kwargs):
+        self._args, self._kwargs = args, kwargs
+
+    def dump(self, *args, **kwargs):
+        return DataDumper(*self._args, **self._kwargs).dump(*args, **kwargs)
+
+
+FAULTY = FaultPlan(specs=(
+    FaultSpec(FaultKind.NFS_HARD_FAILURE, probability=1.0, snapshots=(0,)),
+    FaultSpec(FaultKind.NFS_TRANSIENT_ERROR, probability=1.0, snapshots=(1,),
+              attempts=1, severity=0.5),
+    FaultSpec(FaultKind.DVFS_THROTTLE, probability=1.0, snapshots=(2,),
+              severity=0.6),
+), seed=7)
+
+
+class TestRatioReuse:
+    CAMPAIGN = CheckpointCampaign(
+        snapshot_bytes=int(16e9), n_snapshots=12, compute_interval_s=600.0
+    )
+
+    def _campaign(self, sample, fault_plan=None):
+        node = SimulatedNode(BROADWELL_D1548, seed=3)
+        return run_campaign(
+            node, SZCompressor(), sample, 1e-2, self.CAMPAIGN,
+            repeats=1, fault_plan=fault_plan,
+        )
+
+    def test_campaign_measures_the_ratio_once(self, sample):
+        # Reuse is the dumper's own, so it holds with the cache off.
+        with use_cache(ResultCache(enabled=False)):
+            before = _compress_calls()
+            report = self._campaign(sample)
+        assert _compress_calls() == before + 1
+        assert len(report.snapshots) == 12
+
+    def test_in_place_mutation_recomputes(self, dumper, sample):
+        field = sample.copy()
+        first = dumper.dump(SZCompressor(), field, 1e-2, int(10e9))
+        field *= 3.0
+        before = _compress_calls()
+        second = dumper.dump(SZCompressor(), field, 1e-2, int(10e9))
+        assert _compress_calls() == before + 1
+        assert second.compression_ratio != first.compression_ratio
+
+    def test_error_bound_and_codec_settings_split_entries(self, dumper, sample):
+        before = _compress_calls()
+        dumper.dump(SZCompressor(), sample, 1e-2, int(10e9))
+        dumper.dump(SZCompressor(), sample, 1e-3, int(10e9))
+        dumper.dump(SZCompressor(zlib_level=9), sample, 1e-2, int(10e9))
+        assert _compress_calls() == before + 3
+        dumper.dump(SZCompressor(), sample, 1e-2, int(10e9))
+        dumper.dump(SZCompressor(zlib_level=9), sample, 1e-2, int(10e9))
+        assert _compress_calls() == before + 3
+
+    def test_chunked_path_compresses_every_snapshot(self, sample):
+        node = SimulatedNode(BROADWELL_D1548, seed=0)
+        dumper = DataDumper(node, repeats=1, chunk_bytes=1 << 16,
+                            executor="serial")
+        before = _compress_calls()
+        reports = [dumper.dump(SZCompressor(), sample, 1e-2, int(10e9))
+                   for _ in range(3)]
+        n_slabs = reports[0].parallel.n_tasks
+        assert _compress_calls() == before + 3 * n_slabs
+        assert all(r.parallel is not None for r in reports)
+
+    def test_reused_span_is_marked(self, dumper, sample):
+        tracer = Tracer()
+        with use_tracer(tracer):
+            dumper.dump(SZCompressor(), sample, 1e-2, int(10e9))
+            dumper.dump(SZCompressor(), sample, 1e-2, int(10e9))
+        spans = [s for root in tracer.spans for s, _ in root.walk()
+                 if s.name == "dump.ratio"]
+        assert [s.attrs.get("reused") for s in spans] == [None, True]
+        assert spans[0].attrs["ratio"] == spans[1].attrs["ratio"]
+
+    @pytest.mark.parametrize("fault_plan", [None, FAULTY],
+                             ids=["clean", "faulted"])
+    def test_reports_match_a_fresh_dumper_per_snapshot(
+        self, sample, monkeypatch, fault_plan
+    ):
+        reused = self._campaign(sample, fault_plan)
+        monkeypatch.setattr(campaign_module, "DataDumper",
+                            _FreshDumperPerSnapshot)
+        before = _compress_calls()
+        fresh = self._campaign(sample, fault_plan)
+        assert _compress_calls() == before + 12
+        assert encode_value(reused) == encode_value(fresh)
+        if fault_plan is not None:
+            assert reused.snapshots[0].resilience is not None
