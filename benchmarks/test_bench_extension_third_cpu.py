@@ -9,10 +9,10 @@ headline trend.
 import numpy as np
 from conftest import emit
 
+from repro.core.objectives import optimal_frequency
 from repro.core.power_model import PowerModel
 from repro.core.runtime_model import fit_runtime_model
 from repro.core.scaling import add_scaled_columns
-from repro.core.tuning import optimal_energy_frequency
 from repro.hardware.cpu import CASCADELAKE_6230
 from repro.hardware.node import SimulatedNode
 from repro.workflow.report import render_table
@@ -38,7 +38,7 @@ def test_bench_extension_third_cpu(benchmark):
     p_saving = power.savings_at(f_eqn3)
     slow = runtime.slowdown_at(f_eqn3)
     energy_saving = 1 - (1 - p_saving) * (1 + slow)
-    f_opt = optimal_energy_frequency(power, runtime, cpu)
+    f_opt = optimal_frequency(power, runtime, cpu)
     emit(f"Eqn. 3 on cascadelake: {p_saving:.1%} power saving, "
          f"+{slow:.1%} runtime, {energy_saving:.1%} energy saving; "
          f"model-optimal frequency {f_opt} GHz")

@@ -15,8 +15,8 @@ from repro import (
     SweepConfig,
     TunedIOPipeline,
     default_nodes,
+    optimal_frequency,
 )
-from repro.core.tuning import optimal_energy_frequency
 from repro.workflow.report import render_table
 
 
@@ -61,7 +61,7 @@ def main() -> None:
     print()
     for node in pipe.nodes:
         arch = node.cpu.arch
-        f_opt = optimal_energy_frequency(
+        f_opt = optimal_frequency(
             outcome.compression_models[arch.capitalize()],
             outcome.compression_runtime[arch],
             node.cpu,

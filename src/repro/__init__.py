@@ -40,7 +40,6 @@ from repro.core import (
     fit_partition_models,
     fit_power_law,
     fit_runtime_model,
-    optimal_energy_frequency,
     optimal_frequency,
 )
 from repro.data import available_datasets, load_dataset, load_field
@@ -83,7 +82,6 @@ __all__ = [
     "fit_partition_models",
     "fit_power_law",
     "fit_runtime_model",
-    "optimal_energy_frequency",
     "available_datasets",
     "load_dataset",
     "load_field",

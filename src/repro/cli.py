@@ -528,41 +528,32 @@ def _cmd_characterize(args) -> int:
 
 
 def _cmd_tune(args) -> int:
-    from repro.core.objectives import Objective, optimal_frequency
+    from repro.core.objectives import Objective
     from repro.core.persistence import ModelBundle
-    from repro.core.tuning import PAPER_POLICY, recommend_from_models
-    from repro.hardware.cpu import get_cpu
+    from repro.core.service import TuningService
+    from repro.core.tuning import PAPER_POLICY
     from repro.workflow.report import render_table
 
     bundle = ModelBundle.load(args.models)
+    service = TuningService(bundle)
+    eqn3 = args.policy == "eqn3"
     rows = []
-    for arch, runtime in bundle.compression_runtime.items():
-        cpu = get_cpu(arch)
-        power = bundle.compression_power.get(arch.capitalize())
-        tran_power = bundle.transit_power.get(arch.capitalize())
-        tran_runtime = bundle.transit_runtime[arch]
-        for stage, pm, rm in (("compress", power, runtime),
-                              ("write", tran_power, tran_runtime)):
-            if pm is None:
+    for arch in bundle.compression_runtime:
+        for stage, powers in (("compress", bundle.compression_power),
+                              ("write", bundle.transit_power)):
+            if powers.get(arch.capitalize()) is None:
                 continue
-            if args.policy == "eqn3":
-                rec = recommend_from_models(cpu, stage, pm, rm, PAPER_POLICY)
-                freq = rec.freq_ghz
-            else:
-                freq = optimal_frequency(pm, rm, cpu, Objective(args.objective))
-                rec = None
-            p_saving = 1.0 - float(pm.predict(freq)) / float(pm.predict(cpu.fmax_ghz))
-            slowdown = float(rm.predict(freq)) - 1.0
+            d = service.decide(arch, stage, Objective(args.objective),
+                               PAPER_POLICY if eqn3 else None)
             rows.append(
                 {
                     "cpu": arch,
                     "stage": stage,
-                    "policy": args.policy if args.policy == "eqn3"
-                    else f"optimal/{args.objective}",
-                    "freq_ghz": freq,
-                    "power_saving_pct": p_saving * 100,
-                    "slowdown_pct": slowdown * 100,
-                    "energy_saving_pct": (1 - (1 - p_saving) * (1 + slowdown)) * 100,
+                    "policy": "eqn3" if eqn3 else f"optimal/{args.objective}",
+                    "freq_ghz": d.freq_ghz,
+                    "power_saving_pct": d.predicted_power_saving * 100,
+                    "slowdown_pct": d.predicted_slowdown * 100,
+                    "energy_saving_pct": d.predicted_energy_saving * 100,
                 }
             )
     print(render_table(rows, title="Frequency recommendations"))

@@ -26,8 +26,6 @@ from repro.core.partitions import (
 from repro.core.tuning import (
     PAPER_POLICY,
     TuningPolicy,
-    optimal_energy_frequency,
-    energy_curve,
     TuningRecommendation,
     recommend_from_models,
 )
@@ -75,8 +73,6 @@ __all__ = [
     "fit_partition_models",
     "PAPER_POLICY",
     "TuningPolicy",
-    "optimal_energy_frequency",
-    "energy_curve",
     "TuningRecommendation",
     "recommend_from_models",
     "energy_joules",

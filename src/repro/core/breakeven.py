@@ -31,6 +31,7 @@ from repro.hardware.powercurves import CalibratedPowerCurve, PowerCurve
 from repro.hardware.workload import (
     REFERENCE_THROUGHPUT_MBPS,
     WorkloadKind,
+    cross_cpu_factor,
     error_bound_work_factor,
 )
 from repro.iosim.nfs import NfsTarget
@@ -56,11 +57,9 @@ class StrategyOutcome:
 def _compression_rate_bps(kind: WorkloadKind, error_bound: float, cpu: CpuSpec) -> float:
     """Single-core compression throughput at *cpu*'s base clock, B/s."""
     base = REFERENCE_THROUGHPUT_MBPS[kind] * 1e6 / error_bound_work_factor(error_bound)
-    # Cross-CPU conversion mirrors Workload.runtime_s at base clock
+    # Cross-CPU conversion as in Workload.runtime_s at base clock,
     # with the codec sensitivity ~0.5 split.
-    core_speed = cpu.perf_ghz_factor * cpu.fmax_ghz / 2.0
-    s = 0.5
-    return base / ((1 - s) + s / core_speed)
+    return base / cross_cpu_factor(0.5, cpu)
 
 
 def compare_strategies(

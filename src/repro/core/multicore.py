@@ -19,6 +19,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from repro.core.objectives import solve
 from repro.hardware.node import SimulatedNode
 from repro.hardware.workload import Workload
 
@@ -75,14 +76,15 @@ def optimal_configuration(
     Raises ``ValueError`` if no configuration meets *max_runtime_s*.
     """
     points = sweep_configurations(node, workload, max_cores)
-    if max_runtime_s is not None:
-        points = [p for p in points if p.runtime_s <= max_runtime_s]
-        if not points:
-            raise ValueError(
-                f"no (cores, frequency) configuration finishes within "
-                f"{max_runtime_s} s"
-            )
-    return min(points, key=lambda p: p.energy_j)
+    runtime = np.array([p.runtime_s for p in points])
+    feasible = None if max_runtime_s is None else runtime <= max_runtime_s
+    index = solve([p.power_w for p in points], runtime, feasible=feasible)
+    if index is None:
+        raise ValueError(
+            f"no (cores, frequency) configuration finishes within "
+            f"{max_runtime_s} s"
+        )
+    return points[index]
 
 
 def pareto_front(points: List[CoreFreqPoint]) -> List[CoreFreqPoint]:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.samples import SampleSet
+from repro.hardware.workload import leading_loads
 from repro.utils.stats import GoodnessOfFit, goodness_of_fit
 
 __all__ = ["RuntimeModel", "fit_runtime_model"]
@@ -35,8 +36,7 @@ class RuntimeModel:
         f = np.asarray(freq_ghz, dtype=np.float64)
         if np.any(f <= 0):
             raise ValueError("frequencies must be positive")
-        s = self.sensitivity
-        return (1.0 - s) + s * self.fmax_ghz / f
+        return leading_loads(self.sensitivity, self.fmax_ghz, f)
 
     def slowdown_at(self, freq_ghz: float) -> float:
         """Fractional runtime increase vs. the max clock."""
@@ -58,7 +58,7 @@ def fit_runtime_model(
     denom = float(u @ u)
     s = float(u @ (r - 1.0)) / denom if denom > 0 else 0.0
     s = float(np.clip(s, 0.0, 1.5))
-    pred = (1.0 - s) + s * fmax / f
+    pred = leading_loads(s, fmax, f)
     return RuntimeModel(
         name=name, sensitivity=s, fmax_ghz=fmax, gof=goodness_of_fit(r, pred)
     )

@@ -13,14 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-import numpy as np
-
 from repro.core.objectives import Objective, optimal_frequency
 from repro.core.persistence import ModelBundle
 from repro.core.power_model import PowerModel
 from repro.core.runtime_model import RuntimeModel
 from repro.core.tuning import TuningPolicy
-from repro.hardware.cpu import CpuSpec, get_cpu
+from repro.hardware.cpu import get_cpu
+from repro.hardware.workload import WorkloadKind
 
 __all__ = ["StageDecision", "TuningService"]
 
@@ -92,33 +91,23 @@ class TuningService:
 
         A *policy* (e.g. :data:`~repro.core.tuning.PAPER_POLICY`)
         overrides the objective with its fixed factor; *max_slowdown*
-        constrains the objective-driven choice.
+        constrains the objective-driven choice and is rejected with a
+        policy, which has no choice to constrain.
         """
+        if policy is not None and max_slowdown is not None:
+            raise ValueError(
+                "max_slowdown only applies to policy 'optimal' "
+                f"({policy.name} is a fixed factor)"
+            )
         cpu = get_cpu(arch)
         power, runtime = self._models(arch, stage)
         if policy is not None:
-            from repro.hardware.workload import WorkloadKind
-
             kind = WorkloadKind.COMPRESS_SZ if stage == "compress" else WorkloadKind.WRITE
             freq = policy.frequency_for(cpu, kind)
             label = policy.name
         else:
-            freq = optimal_frequency(power, runtime, cpu, objective)
+            freq = optimal_frequency(power, runtime, cpu, objective, max_slowdown)
             label = objective.value
-            if max_slowdown is not None:
-                grid = cpu.available_frequencies()
-                ok = runtime.predict(grid) <= 1.0 + max_slowdown
-                if not np.any(ok):
-                    raise ValueError(
-                        f"no frequency satisfies max_slowdown={max_slowdown}"
-                    )
-                if runtime.predict(freq) > 1.0 + max_slowdown:
-                    from repro.core.objectives import objective_curve
-
-                    values = np.where(
-                        ok, objective_curve(power, runtime, grid, objective), np.inf
-                    )
-                    freq = float(grid[np.argmin(values)])
         p_saving = 1.0 - float(power.predict(freq)) / float(
             power.predict(cpu.fmax_ghz)
         )

@@ -2,17 +2,16 @@
 
 Eqn. 3 recommends pinning compression at ``0.875·f_max`` and data
 writing at ``0.85·f_max``. :data:`PAPER_POLICY` encodes that rule;
-:func:`optimal_energy_frequency` instead minimizes modeled energy
-``E(f) = P(f)·t(f)`` over the DVFS grid (ablation #2 compares the two).
+:func:`~repro.core.objectives.optimal_frequency` instead minimizes
+modeled energy ``E(f) = P(f)·t(f)`` over the DVFS grid (ablation #2
+compares the two).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
 
-import numpy as np
-
+from repro.core.objectives import optimal_frequency
 from repro.core.power_model import PowerModel
 from repro.core.runtime_model import RuntimeModel
 from repro.hardware.cpu import CpuSpec
@@ -22,8 +21,6 @@ from repro.utils.validation import check_in_range
 __all__ = [
     "TuningPolicy",
     "PAPER_POLICY",
-    "energy_curve",
-    "optimal_energy_frequency",
     "TuningRecommendation",
     "recommend_from_models",
 ]
@@ -53,44 +50,6 @@ class TuningPolicy:
 #: Eqn. 3: f_I/O = 0.875 f_max for lossy compression, 0.85 f_max for
 #: data writing.
 PAPER_POLICY = TuningPolicy(compress_factor=0.875, write_factor=0.85, name="eqn3")
-
-
-def energy_curve(
-    power_model: PowerModel,
-    runtime_model: RuntimeModel,
-    frequencies,
-) -> np.ndarray:
-    """Scaled energy ``P(f)·t(f)`` (both factors scaled to max clock)."""
-    f = np.asarray(frequencies, dtype=np.float64)
-    return power_model.predict(f) * runtime_model.predict(f)
-
-
-def optimal_energy_frequency(
-    power_model: PowerModel,
-    runtime_model: RuntimeModel,
-    cpu: CpuSpec,
-    max_slowdown: float | None = None,
-) -> float:
-    """DVFS-grid frequency minimizing modeled energy.
-
-    Parameters
-    ----------
-    max_slowdown:
-        Optional runtime-increase cap (e.g. ``0.10`` for "at most 10 %
-        slower than max clock"); frequencies predicted to exceed it are
-        excluded.
-    """
-    grid = cpu.available_frequencies()
-    energies = energy_curve(power_model, runtime_model, grid)
-    if max_slowdown is not None:
-        ok = runtime_model.predict(grid) <= 1.0 + max_slowdown
-        if not np.any(ok):
-            raise ValueError(
-                f"no frequency satisfies max_slowdown={max_slowdown}; "
-                f"minimum modeled slowdown is {runtime_model.predict(grid).min() - 1:.3f}"
-            )
-        energies = np.where(ok, energies, np.inf)
-    return float(grid[np.argmin(energies)])
 
 
 @dataclass(frozen=True)
@@ -147,7 +106,7 @@ def _recommend(
         kind = WorkloadKind.COMPRESS_SZ if stage == "compress" else WorkloadKind.WRITE
         freq = policy.frequency_for(cpu, kind)
     else:
-        freq = optimal_energy_frequency(power_model, runtime_model, cpu)
+        freq = optimal_frequency(power_model, runtime_model, cpu)
 
     p_ref = float(power_model.predict(cpu.fmax_ghz))
     p_tuned = float(power_model.predict(freq))

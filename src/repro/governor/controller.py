@@ -43,6 +43,7 @@ from repro.governor.policies import (
 )
 from repro.governor.telemetry import TelemetryBus, TelemetrySample
 from repro.hardware.cpu import CpuSpec
+from repro.hardware.workload import leading_loads
 
 __all__ = ["AdaptiveGovernor", "DEFAULT_WARMUP_FRACTIONS"]
 
@@ -273,7 +274,7 @@ class AdaptiveGovernor(Governor):
         return choose_frequency(
             self._grid,
             lambda f: float(fit.predict(f)) / p_ref,
-            lambda f: sens * (fmax / f - 1.0),
+            lambda f: leading_loads(sens, fmax, f) - 1.0,
             self.budgets[phase],
             self.hysteresis,
         )

@@ -16,7 +16,8 @@ determinism contract is that a fixed seed makes the adaptive trace
 byte-identical across runs, which only works if every decision is
 recorded the same way.
 
-The selection objective lives here in :func:`choose_frequency` so the
+The selection objective lives here in :func:`choose_frequency` — the
+governor policy over :func:`repro.core.objectives.solve` — so the
 oracle and the adaptive controller provably optimize the *same* thing:
 minimize modeled energy ``P(f)·t(f)`` over the DVFS grid subject to a
 per-phase slowdown budget, preferring the lowest feasible frequency
@@ -35,11 +36,14 @@ import json
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
+import numpy as np
+
+from repro.core.objectives import solve
 from repro.core.tuning import PAPER_POLICY, TuningPolicy
 from repro.governor.phases import Phase
 from repro.governor.telemetry import TelemetryBus, TelemetrySample
 from repro.hardware.cpu import CpuSpec
-from repro.hardware.workload import FREQUENCY_SENSITIVITY, WorkloadKind
+from repro.hardware.workload import FREQUENCY_SENSITIVITY, WorkloadKind, leading_loads
 
 __all__ = [
     "DEFAULT_SLOWDOWN_BUDGETS",
@@ -96,18 +100,15 @@ def choose_frequency(
     wins (this is what lets a governor race back to the max clock when
     a perturbed curve makes slowing down counterproductive).
     """
-    grid = [float(f) for f in grid]
-    if not grid:
-        raise ValueError("grid must be non-empty")
-    feasible = [f for f in grid if slowdown(f) <= budget + 1e-12]
-    if not feasible:
-        return float(max(grid))
-    energy = {f: power_ratio(f) * (1.0 + slowdown(f)) for f in feasible}
-    floor = min(feasible)
-    best = min(feasible, key=lambda f: (energy[f], f))
-    if energy[floor] - energy[best] > hysteresis * energy[floor]:
-        return float(best)
-    return float(floor)
+    grid = sorted(float(f) for f in grid)
+    slow = np.array([slowdown(f) for f in grid])
+    index = solve(
+        [power_ratio(f) for f in grid],
+        1.0 + slow,
+        feasible=slow <= budget + 1e-12,
+        hysteresis=hysteresis,
+    )
+    return grid[-1] if index is None else grid[index]
 
 
 @dataclass(frozen=True)
@@ -325,7 +326,7 @@ class OracleGovernor(Governor):
             choice = choose_frequency(
                 self.cpu.available_frequencies(),
                 lambda f: self.power_curve.power_watts(self.cpu, f, kind) / p_ref,
-                lambda f: sens * (fmax / f - 1.0),
+                lambda f: leading_loads(sens, fmax, f) - 1.0,
                 self.budgets[phase],
                 self.hysteresis,
             )

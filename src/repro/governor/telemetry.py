@@ -24,6 +24,7 @@ the drained list back to the coordinator as a ``telemetry`` wire frame
 
 from __future__ import annotations
 
+import math
 import threading
 from collections import deque
 from dataclasses import dataclass
@@ -107,10 +108,12 @@ class TelemetryBus:
         racing publishers can never deliver out of seq order — the
         no-drop/no-reorder property the concurrency tests pin down.
         """
-        if freq_ghz <= 0 or power_w <= 0 or runtime_s <= 0:
+        if not all(
+            math.isfinite(v) and v > 0 for v in (freq_ghz, power_w, runtime_s)
+        ):
             raise ValueError(
-                "freq_ghz, power_w and runtime_s must be positive, got "
-                f"({freq_ghz}, {power_w}, {runtime_s})"
+                "freq_ghz, power_w and runtime_s must be positive and finite, "
+                f"got ({freq_ghz}, {power_w}, {runtime_s})"
             )
         if bytes_processed < 0:
             raise ValueError(

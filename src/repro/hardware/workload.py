@@ -29,6 +29,8 @@ from repro.hardware.cpu import CpuSpec
 from repro.utils.validation import check_in_range, check_positive
 
 __all__ = [
+    "leading_loads",
+    "cross_cpu_factor",
     "WorkloadKind",
     "Workload",
     "FREQUENCY_SENSITIVITY",
@@ -39,6 +41,17 @@ __all__ = [
     "read_workload",
     "error_bound_work_factor",
 ]
+
+
+def leading_loads(s, fmax_ghz, freq_ghz):
+    """Scaled runtime ``t(f)/t(fmax)``; *freq_ghz* may be an array."""
+    return (1.0 - s) + s * fmax_ghz / freq_ghz
+
+
+def cross_cpu_factor(s: float, cpu: CpuSpec) -> float:
+    """Runtime on *cpu* relative to the Broadwell base-clock reference."""
+    core_speed = cpu.perf_ghz_factor * cpu.fmax_ghz / 2.0  # vs Broadwell
+    return (1.0 - s) + s / core_speed
 
 
 class WorkloadKind(enum.Enum):
@@ -196,9 +209,8 @@ class Workload:
         """
         freq_ghz = cpu.snap_frequency(freq_ghz)
         s = self.sensitivity(cpu)
-        core_speed = cpu.perf_ghz_factor * cpu.fmax_ghz / 2.0  # vs Broadwell
-        t_at_base_clock = self.reference_runtime_s * ((1.0 - s) + s / core_speed)
-        return t_at_base_clock * ((1.0 - s) + s * cpu.fmax_ghz / freq_ghz)
+        t_at_base_clock = self.reference_runtime_s * cross_cpu_factor(s, cpu)
+        return t_at_base_clock * leading_loads(s, cpu.fmax_ghz, freq_ghz)
 
     def multicore_runtime_s(self, cpu: CpuSpec, freq_ghz: float, cores: int) -> float:
         """Amdahl-scaled runtime on *cores* cores (extension study).

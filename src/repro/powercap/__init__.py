@@ -6,7 +6,7 @@ shared by N compute nodes and the NFS server. This package closes the
 measure -> allocate -> actuate loop at that layer:
 
 * :mod:`repro.powercap.allocation` — the budget-splitting policies
-  (uniform, proportional-to-demand, makespan-argmin water-filling)
+  (uniform, proportional-to-demand, makespan-minimizing water-filling)
   over discrete per-node frequency/power models;
 * :mod:`repro.powercap.controller` — :class:`ClusterCapController`,
   which subscribes to the telemetry bus, inverts each node's fitted

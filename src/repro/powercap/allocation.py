@@ -11,7 +11,7 @@ budget``. Three policies, in increasing sophistication:
   redistributed among the rest;
 * :func:`proportional_allocation` — shares proportional to observed
   demand (a telemetry-window mean per node), same saturation handling;
-* :func:`waterfill_allocation` — the makespan argmin: repeatedly raise
+* :func:`waterfill_allocation` — the makespan minimizer: repeatedly raise
   the current bottleneck node's cap to its next grid power threshold
   while the budget allows, which solves
   ``min max_i t_i(cap_i)  s.t.  sum(cap_i) <= budget`` exactly over the
@@ -28,6 +28,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
+from repro.hardware.workload import leading_loads
 from repro.utils.validation import check_in_range, check_positive
 
 __all__ = [
@@ -78,7 +79,7 @@ class NodePowerModel:
     ``power_w[i]`` the package watts it draws at ``grid[i]`` for the
     active phase — typically sampled from its fitted
     ``P(f) = a * f**b + c`` curve. ``work`` scales runtime (relative
-    units are fine: only ratios matter to the makespan argmin) and
+    units are fine: only ratios matter to the makespan minimum) and
     ``sensitivity`` is the leading-loads compute fraction ``s`` in
     ``t(f) = work * ((1 - s) + s * fmax / f)``.
     """
@@ -124,8 +125,9 @@ class NodePowerModel:
 
     def runtime_at(self, index: int) -> float:
         """Leading-loads runtime (work units) at grid point *index*."""
-        s = self.sensitivity
-        return self.work * ((1.0 - s) + s * self.grid[-1] / self.grid[index])
+        return self.work * leading_loads(
+            self.sensitivity, self.grid[-1], self.grid[index]
+        )
 
     def index_for_cap(self, cap_w: float) -> int:
         """Highest grid index whose power fits under *cap_w*.
@@ -242,7 +244,7 @@ def waterfill_allocation(
     makespan >= T*.
 
     Leftover budget is then spent rather than stranded: nodes the
-    argmin left at zero get their floor watts (``min_power``) admitted
+    greedy left at zero get their floor watts (``min_power``) admitted
     when affordable, then every node is raised toward its top grid
     threshold in ``node_id`` order while the budget lasts. Raising a
     cap never increases a runtime, so the surplus pass keeps ``T*``

@@ -30,6 +30,7 @@ from typing import Any, Dict, Mapping, Optional
 
 import numpy as np
 
+from repro.core.objectives import solve
 from repro.hardware.workload import Workload
 from repro.resilience.faults import FaultPlanError
 from repro.utils.validation import check_in_range, check_nonnegative
@@ -147,11 +148,9 @@ def retune_write_frequency(
     Deterministic — it never touches the node's measurement RNG.
     """
     grid = node.cpu.available_frequencies()
-    if cap_ghz is not None:
-        capped = grid[grid <= cap_ghz + 1e-9]
-        grid = capped if len(capped) else grid[:1]
-    energies = [
-        node.true_power_w(workload, f) * node.true_runtime_s(workload, f)
-        for f in grid
-    ]
-    return float(grid[int(np.argmin(energies))])
+    index = solve(
+        [node.true_power_w(workload, f) for f in grid],
+        [node.true_runtime_s(workload, f) for f in grid],
+        feasible=None if cap_ghz is None else grid <= cap_ghz + 1e-9,
+    )
+    return float(grid[0 if index is None else index])

@@ -117,11 +117,6 @@ class RequestHandlers:
         max_slowdown = payload.get("max_slowdown")
         if max_slowdown is not None:
             max_slowdown = _as_float(payload, "max_slowdown", max_slowdown)
-        if policy_name == "eqn3" and payload.get("max_slowdown") is not None:
-            raise BadRequestError(
-                "max_slowdown only applies to policy 'optimal' "
-                "(eqn3 is a fixed factor)"
-            )
 
         bundle, entry = self.registry.get_with_entry(name, version)
         service = TuningService(bundle)

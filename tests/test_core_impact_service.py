@@ -99,6 +99,18 @@ class TestTuningService:
         with pytest.raises(ValueError, match="max_slowdown"):
             service.decide("broadwell", "compress", max_slowdown=-0.5)
 
+    def test_cap_with_fixed_policy_rejected(self, service):
+        # A fixed factor has no choice for the cap to constrain; the
+        # Python API refuses it instead of silently ignoring it.
+        with pytest.raises(
+            ValueError,
+            match=r"^max_slowdown only applies to policy 'optimal' "
+            r"\(eqn3 is a fixed factor\)$",
+        ):
+            service.decide(
+                "broadwell", "compress", policy=PAPER_POLICY, max_slowdown=0.01
+            )
+
     def test_unknown_arch(self, service):
         with pytest.raises(KeyError, match="unknown CPU"):
             service.decide("epyc", "compress")

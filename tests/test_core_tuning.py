@@ -3,13 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.core.objectives import objective_curve, optimal_frequency
 from repro.core.power_model import PowerModel
 from repro.core.runtime_model import RuntimeModel
 from repro.core.tuning import (
     PAPER_POLICY,
     TuningPolicy,
-    energy_curve,
-    optimal_energy_frequency,
     recommend_from_models,
 )
 from repro.hardware.cpu import BROADWELL_D1548, SKYLAKE_4114
@@ -46,20 +45,20 @@ class TestPaperPolicy:
 class TestEnergyCurve:
     def test_product_of_models(self):
         f = np.array([1.0, 1.5, 2.0])
-        e = energy_curve(BW_POWER, BW_RUNTIME, f)
+        e = objective_curve(BW_POWER, BW_RUNTIME, f)
         assert np.allclose(e, BW_POWER.predict(f) * BW_RUNTIME.predict(f))
 
     def test_energy_below_one_in_sweet_spot(self):
         # Somewhere below fmax, scaled energy dips under 1.
         grid = BROADWELL_D1548.available_frequencies()
-        e = energy_curve(BW_POWER, BW_RUNTIME, grid)
-        ref = energy_curve(BW_POWER, BW_RUNTIME, np.array([2.0]))[0]
+        e = objective_curve(BW_POWER, BW_RUNTIME, grid)
+        ref = objective_curve(BW_POWER, BW_RUNTIME, np.array([2.0]))[0]
         assert e.min() < ref
 
 
 class TestOptimalEnergyFrequency:
     def test_interior_optimum(self):
-        f = optimal_energy_frequency(BW_POWER, BW_RUNTIME, BROADWELL_D1548)
+        f = optimal_frequency(BW_POWER, BW_RUNTIME, BROADWELL_D1548)
         assert 0.8 < f < 2.0  # neither endpoint
 
     def test_memory_bound_workload_prefers_lower_frequency(self):
@@ -68,8 +67,8 @@ class TestOptimalEnergyFrequency:
         # mid-range frequencies equally cheap while still finishing
         # slightly sooner).
         flat_runtime = RuntimeModel("w", 0.05, 2.0, GOF)
-        f_flat = optimal_energy_frequency(BW_POWER, flat_runtime, BROADWELL_D1548)
-        f_steep = optimal_energy_frequency(
+        f_flat = optimal_frequency(BW_POWER, flat_runtime, BROADWELL_D1548)
+        f_steep = optimal_frequency(
             BW_POWER, RuntimeModel("w", 0.9, 2.0, GOF), BROADWELL_D1548
         )
         assert f_flat < 0.75 * 2.0
@@ -77,17 +76,17 @@ class TestOptimalEnergyFrequency:
 
     def test_fully_io_bound_zero_sensitivity_prefers_fmin(self):
         frozen_runtime = RuntimeModel("w", 0.0, 2.0, GOF)
-        f = optimal_energy_frequency(BW_POWER, frozen_runtime, BROADWELL_D1548)
+        f = optimal_frequency(BW_POWER, frozen_runtime, BROADWELL_D1548)
         assert f == pytest.approx(0.8)
 
     def test_compute_bound_workload_prefers_higher_frequency(self):
         steep_runtime = RuntimeModel("w", 1.0, 2.0, GOF)
-        f_steep = optimal_energy_frequency(BW_POWER, steep_runtime, BROADWELL_D1548)
-        f_mild = optimal_energy_frequency(BW_POWER, BW_RUNTIME, BROADWELL_D1548)
+        f_steep = optimal_frequency(BW_POWER, steep_runtime, BROADWELL_D1548)
+        f_mild = optimal_frequency(BW_POWER, BW_RUNTIME, BROADWELL_D1548)
         assert f_steep >= f_mild
 
     def test_slowdown_cap_respected(self):
-        f = optimal_energy_frequency(
+        f = optimal_frequency(
             BW_POWER, BW_RUNTIME, BROADWELL_D1548, max_slowdown=0.05
         )
         assert BW_RUNTIME.predict(f) <= 1.05 + 1e-9
@@ -95,7 +94,7 @@ class TestOptimalEnergyFrequency:
     def test_impossible_cap_raises(self):
         steep = RuntimeModel("w", 1.0, 2.0, GOF)
         with pytest.raises(ValueError, match="no frequency satisfies"):
-            optimal_energy_frequency(
+            optimal_frequency(
                 BW_POWER, steep, BROADWELL_D1548, max_slowdown=-0.5
             )
 

@@ -252,6 +252,18 @@ class TestGovernOverHttp:
         assert again["samples_seen"] == first["samples_seen"]
         assert other["samples_seen"] == 0
 
+    def test_nonfinite_sample_is_rejected_and_not_learned(self, server):
+        # json.loads accepts a bare NaN literal; the bus must not.
+        ok = {"phase": "compress", "freq_ghz": 2.0, "power_w": 21.0,
+              "runtime_s": 1.0}
+        _, before = self._post(server, {"session": "nan", "samples": [ok]})
+        status, doc = self._post(server, {"session": "nan", "samples": [
+            dict(ok, runtime_s=float("nan"))]})
+        assert status == 400
+        assert "invalid telemetry sample 0" in doc["message"]
+        _, after = self._post(server, {"session": "nan", "samples": []})
+        assert after["samples_seen"] == before["samples_seen"] == 1
+
     def test_static_policy_answers_eqn3(self, server):
         status, doc = self._post(server, {"policy": "static",
                                           "arch": "broadwell"})

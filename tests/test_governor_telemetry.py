@@ -64,6 +64,16 @@ class TestPublishValidation:
         with pytest.raises(ValueError, match="must be positive"):
             pub(TelemetryBus(), **{field: value})
 
+    @pytest.mark.parametrize("field", ["freq_ghz", "power_w", "runtime_s"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_nonfinite_measurements_rejected(self, field, value):
+        # NaN slips past a plain "<= 0" check; one NaN runtime would
+        # poison every adaptive fit for as long as it sits in the window.
+        bus = TelemetryBus()
+        with pytest.raises(ValueError, match="finite"):
+            pub(bus, **{field: value})
+        assert bus.published == 0
+
     def test_negative_bytes_rejected_but_zero_ok(self):
         bus = TelemetryBus()
         with pytest.raises(ValueError, match="bytes_processed"):

@@ -153,6 +153,17 @@ class TestTune:
         })
         assert status == 400
 
+    def test_eqn3_with_max_slowdown_400(self, server):
+        status, doc = request_json(server.url + "/v1/tune", "POST", {
+            "model": "prod", "arch": "broadwell", "stage": "compress",
+            "policy": "eqn3", "max_slowdown": 0.01,
+        })
+        assert (status, doc["error"]) == (400, "bad_request")
+        assert doc["message"] == (
+            "max_slowdown only applies to policy 'optimal' "
+            "(eqn3 is a fixed factor)"
+        )
+
 
 class TestDecide:
     def test_decide_contended_write_compresses(self, server):
