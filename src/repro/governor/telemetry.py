@@ -35,6 +35,7 @@ from repro.governor.phases import Phase
 __all__ = [
     "TelemetrySample",
     "TelemetryBus",
+    "check_sample",
     "start_capture",
     "drain_capture",
     "capture_active",
@@ -46,6 +47,23 @@ def _phase_value(phase) -> str:
     if isinstance(phase, Phase):
         return phase.value
     return Phase(str(phase)).value  # raises ValueError on unknown tags
+
+
+def check_sample(
+    freq_ghz: float, power_w: float, runtime_s: float, bytes_processed: int
+) -> None:
+    """Raise ``ValueError`` unless a sample's values are publishable."""
+    if not all(
+        math.isfinite(v) and v > 0 for v in (freq_ghz, power_w, runtime_s)
+    ):
+        raise ValueError(
+            "freq_ghz, power_w and runtime_s must be positive and finite, "
+            f"got ({freq_ghz}, {power_w}, {runtime_s})"
+        )
+    if bytes_processed < 0:
+        raise ValueError(
+            f"bytes_processed must be >= 0, got {bytes_processed}"
+        )
 
 
 @dataclass(frozen=True)
@@ -108,17 +126,7 @@ class TelemetryBus:
         racing publishers can never deliver out of seq order — the
         no-drop/no-reorder property the concurrency tests pin down.
         """
-        if not all(
-            math.isfinite(v) and v > 0 for v in (freq_ghz, power_w, runtime_s)
-        ):
-            raise ValueError(
-                "freq_ghz, power_w and runtime_s must be positive and finite, "
-                f"got ({freq_ghz}, {power_w}, {runtime_s})"
-            )
-        if bytes_processed < 0:
-            raise ValueError(
-                f"bytes_processed must be >= 0, got {bytes_processed}"
-            )
+        check_sample(freq_ghz, power_w, runtime_s, bytes_processed)
         phase_tag = _phase_value(phase)
         with self._lock:
             sample = TelemetrySample(

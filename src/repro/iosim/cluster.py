@@ -209,11 +209,11 @@ class SimulatedCluster(Cluster):
         super().__init__(cpu, n_nodes, nfs=nfs, seed=seed, repeats=repeats)
         self.node_ids = tuple(f"node{i:03d}" for i in range(self.n_nodes))
         self.controller = None
-        self._governors = None
+        self._governor_by_node = None
         if governor is not None:
             from repro.governor import make_governor
 
-            self._governors = tuple(
+            self._governor_by_node = tuple(
                 make_governor(governor, cpu, seed=seed + i,
                               power_curve=node.power_curve)
                 for i, node in enumerate(self.nodes)
@@ -260,9 +260,9 @@ class SimulatedCluster(Cluster):
         cap,
     ) -> float:
         cpu = self.nodes[index].cpu
-        if self._governors is not None:
+        if self._governor_by_node is not None:
             cap_ghz = None if cap is None else cap.governor_cap_ghz
-            return self._governors[index].decide(phase, cap_ghz=cap_ghz)
+            return self._governor_by_node[index].decide(phase, cap_ghz=cap_ghz)
         freq = cpu.fmax_ghz if pinned is None else pinned
         if cap is not None:
             # An infeasible cap (governor_cap_ghz == 0.0) still clamps
@@ -279,7 +279,7 @@ class SimulatedCluster(Cluster):
         compress_freq_ghz: float | None = None,
         write_freq_ghz: float | None = None,
     ) -> ClusterDumpReport:
-        if self.controller is None and self._governors is None:
+        if self.controller is None and self._governor_by_node is None:
             return super().dump_all(
                 compressor, sample_field, error_bound, bytes_per_node,
                 compress_freq_ghz=compress_freq_ghz,
@@ -288,7 +288,7 @@ class SimulatedCluster(Cluster):
         check_positive(bytes_per_node, "bytes_per_node")
         if compressor.name not in _KIND_BY_CODEC:
             raise KeyError(f"no workload kind for codec {compressor.name!r}")
-        if self._governors is not None and (
+        if self._governor_by_node is not None and (
             compress_freq_ghz is not None or write_freq_ghz is not None
         ):
             raise ValueError(
@@ -321,8 +321,8 @@ class SimulatedCluster(Cluster):
                 name=f"{compressor.name}-cluster-dump",
             )
             fc, t_c, e_c = self._run_stage(node, wl_c, f_c)
-            if self._governors is not None:
-                self._governors[i].observe(
+            if self._governor_by_node is not None:
+                self._governor_by_node[i].observe(
                     "compress", fc, e_c / t_c, t_c, bytes_per_node
                 )
             if self.controller is not None:
@@ -344,8 +344,8 @@ class SimulatedCluster(Cluster):
             base_s = wl_w.sensitivity(node.cpu)
             wl_w = replace(wl_w, sensitivity_override=base_s * cpu_frac)
             fw, t_w, e_w = self._run_stage(node, wl_w, f_w)
-            if self._governors is not None:
-                self._governors[i].observe(
+            if self._governor_by_node is not None:
+                self._governor_by_node[i].observe(
                     "write", fw, e_w / t_w, t_w, compressed_bytes
                 )
             if self.controller is not None:

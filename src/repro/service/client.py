@@ -37,6 +37,10 @@ class ConnectionFailed(ServiceError):
     retryable = True
 
 
+def _without_none(body: Dict[str, Any]) -> Dict[str, Any]:
+    return {key: value for key, value in body.items() if value is not None}
+
+
 class ServiceClient:
     """Typed access to one tuning-service endpoint.
 
@@ -76,7 +80,7 @@ class ServiceClient:
     # -- transport -----------------------------------------------------
 
     def _once(self, method: str, path: str,
-              body: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
+              body: Optional[Dict[str, Any]] = None, raw: bool = False) -> Any:
         data = None
         headers = {"Accept": "application/json"}
         if body is not None:
@@ -88,6 +92,8 @@ class ServiceClient:
         try:
             with urllib.request.urlopen(req, timeout=self.timeout_s) as resp:
                 payload = resp.read()
+            if raw:
+                return payload.decode("utf-8")
         except urllib.error.HTTPError as exc:
             detail = exc.read().decode("utf-8", errors="replace")
             try:
@@ -123,21 +129,6 @@ class ServiceClient:
         assert last is not None
         raise last
 
-    # -- raw text endpoints --------------------------------------------
-
-    def _get_text(self, path: str) -> str:
-        try:
-            with urllib.request.urlopen(
-                self.base_url + path, timeout=self.timeout_s
-            ) as resp:
-                return resp.read().decode("utf-8")
-        except urllib.error.HTTPError as exc:
-            raise error_for_status(
-                exc.code, exc.read().decode("utf-8", errors="replace")
-            ) from None
-        except (urllib.error.URLError, socket.timeout, ConnectionError) as exc:
-            raise ConnectionFailed(f"GET {path}: {exc}") from None
-
     # -- API surface ---------------------------------------------------
 
     def healthz(self) -> bool:
@@ -153,7 +144,7 @@ class ServiceClient:
 
     def metrics_text(self) -> str:
         """The raw Prometheus exposition body."""
-        return self._get_text("/metrics")
+        return self._once("GET", "/metrics", raw=True)
 
     def register_model(self, name: str, bundle: ModelBundle) -> Dict[str, Any]:
         """Idempotently register *bundle* as a version of *name*."""
@@ -175,17 +166,12 @@ class ServiceClient:
              max_slowdown: Optional[float] = None,
              deadline_s: Optional[float] = None) -> Dict[str, Any]:
         """Objective-aware frequency recommendation for one stage."""
-        body: Dict[str, Any] = {
-            "model": model, "arch": arch, "stage": stage,
-            "policy": policy, "objective": objective,
+        body = {
+            "model": model, "arch": arch, "stage": stage, "policy": policy,
+            "objective": objective, "version": version,
+            "max_slowdown": max_slowdown, "deadline_s": deadline_s,
         }
-        if version is not None:
-            body["version"] = version
-        if max_slowdown is not None:
-            body["max_slowdown"] = max_slowdown
-        if deadline_s is not None:
-            body["deadline_s"] = deadline_s
-        return self._request("POST", "/v1/tune", body)
+        return self._request("POST", "/v1/tune", _without_none(body))
 
     def decide(self, arch: str, ratio: float, error_bound: float,
                nbytes: int, *,
@@ -194,14 +180,12 @@ class ServiceClient:
                criterion: str = "time",
                deadline_s: Optional[float] = None) -> Dict[str, Any]:
         """Compress-vs-raw break-even verdict for one write."""
-        body: Dict[str, Any] = {
+        body = {
             "arch": arch, "ratio": ratio, "error_bound": error_bound,
             "nbytes": nbytes, "codec": codec, "clients": clients,
-            "criterion": criterion,
+            "criterion": criterion, "deadline_s": deadline_s,
         }
-        if deadline_s is not None:
-            body["deadline_s"] = deadline_s
-        return self._request("POST", "/v1/decide", body)
+        return self._request("POST", "/v1/decide", _without_none(body))
 
     def characterize(self, model: str, **spec: Any) -> str:
         """Start an async characterization; returns the job id."""

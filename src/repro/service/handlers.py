@@ -62,6 +62,13 @@ def _as_float(payload: Dict[str, Any], key: str, value: Any) -> float:
         raise BadRequestError(f"field {key!r} must be a number, got {value!r}")
 
 
+def _as_int(key: str, value: Any) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise BadRequestError(f"field {key!r} must be an integer, got {value!r}")
+
+
 def _get_cpu_checked(arch: Any):
     try:
         return get_cpu(str(arch))
@@ -95,12 +102,7 @@ class RequestHandlers:
         stage = str(_require(payload, "stage"))
         version = payload.get("version")
         if version is not None:
-            try:
-                version = int(version)
-            except (TypeError, ValueError):
-                raise BadRequestError(
-                    f"field 'version' must be an integer, got {version!r}"
-                )
+            version = _as_int("version", version)
         policy_name = str(payload.get("policy", "optimal"))
         if policy_name not in ("optimal", "eqn3"):
             raise BadRequestError(
@@ -162,18 +164,8 @@ class RequestHandlers:
         error_bound = _as_float(
             payload, "error_bound", _require(payload, "error_bound")
         )
-        nbytes = _require(payload, "nbytes")
-        try:
-            nbytes = int(nbytes)
-        except (TypeError, ValueError):
-            raise BadRequestError(f"field 'nbytes' must be an integer, got {nbytes!r}")
-        clients = payload.get("clients", 1)
-        try:
-            clients = int(clients)
-        except (TypeError, ValueError):
-            raise BadRequestError(
-                f"field 'clients' must be an integer, got {clients!r}"
-            )
+        nbytes = _as_int("nbytes", _require(payload, "nbytes"))
+        clients = _as_int("clients", payload.get("clients", 1))
         criterion = str(payload.get("criterion", "time"))
         if criterion not in ("time", "energy"):
             raise BadRequestError(
@@ -223,10 +215,10 @@ class RequestHandlers:
         name = str(_require(payload, "model"))
         doc = {
             "model": name,
-            "repeats": int(payload.get("repeats", 3)),
-            "stride": int(payload.get("stride", 4)),
-            "scale": int(payload.get("scale", 32)),
-            "seed": int(payload.get("seed", 0)),
+            "repeats": _as_int("repeats", payload.get("repeats", 3)),
+            "stride": _as_int("stride", payload.get("stride", 4)),
+            "scale": _as_int("scale", payload.get("scale", 32)),
+            "seed": _as_int("seed", payload.get("seed", 0)),
             "curve": str(payload.get("curve", "calibrated")),
         }
         if doc["curve"] not in ("calibrated", "physical"):

@@ -42,6 +42,7 @@ from typing import Any, Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from repro.cache import fingerprint, get_cache
+from repro.hardware.cpu import get_cpu
 from repro.observability.exporters import prometheus_text
 from repro.observability.metrics import get_registry as get_metrics_registry
 from repro.service.errors import (
@@ -50,14 +51,30 @@ from repro.service.errors import (
     ServiceClosedError,
     ServiceError,
 )
-from repro.service.handlers import RequestHandlers
+from repro.service.handlers import (
+    RequestHandlers,
+    _as_float,
+    _as_int,
+    _check_fields,
+    _require,
+)
 from repro.service.jobs import JobManager
-from repro.service.registry import ModelRegistry
+from repro.service.registry import ModelRegistry, check_name
 from repro.service.scheduler import Scheduler
+from repro.service.sessions import KeyedSessions
+from repro.utils.validation import check_positive
 
 __all__ = ["ServiceConfig", "TuningServer"]
 
 _MAX_BODY_BYTES = 8 << 20  # a bundle JSON is ~10 KB; 8 MiB is generous
+
+
+def _checked(fn, *args, **kwargs):
+    """Call *fn*; a ``KeyError`` or ``ValueError`` it raises answers 400."""
+    try:
+        return fn(*args, **kwargs)
+    except (KeyError, ValueError) as exc:
+        raise BadRequestError(str(exc.args[0]) if exc.args else str(exc))
 
 
 class ServiceConfig:
@@ -102,16 +119,20 @@ class _Handler(BaseHTTPRequestHandler):
     def service(self) -> "TuningServer":
         return self.server.service  # type: ignore[attr-defined]
 
-    def _send_json(self, status: int, doc: Dict[str, Any],
-                   extra_headers: Optional[Dict[str, str]] = None) -> None:
-        body = (json.dumps(doc, sort_keys=True) + "\n").encode("utf-8")
+    def _send(self, status: int, body: bytes, content_type: str,
+              extra_headers: Optional[Dict[str, str]] = None) -> None:
         self.send_response(status)
-        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
         for key, value in (extra_headers or {}).items():
             self.send_header(key, value)
         self.end_headers()
         self.wfile.write(body)
+
+    def _send_json(self, status: int, doc: Dict[str, Any],
+                   extra_headers: Optional[Dict[str, str]] = None) -> None:
+        body = (json.dumps(doc, sort_keys=True) + "\n").encode("utf-8")
+        self._send(status, body, "application/json", extra_headers)
 
     def _send_error(self, exc: ServiceError) -> None:
         headers = {"Retry-After": "1"} if exc.retryable else None
@@ -119,13 +140,16 @@ class _Handler(BaseHTTPRequestHandler):
             exc.status, {"error": exc.code, "message": str(exc)}, headers
         )
 
-    def _read_body(self) -> Dict[str, Any]:
+    def _read_raw(self) -> bytes:
         length = int(self.headers.get("Content-Length") or 0)
         if length > _MAX_BODY_BYTES:
             raise BadRequestError(
                 f"request body too large ({length} bytes > {_MAX_BODY_BYTES})"
             )
-        raw = self.rfile.read(length) if length else b""
+        return self.rfile.read(length) if length else b""
+
+    def _read_body(self) -> Dict[str, Any]:
+        raw = self._read_raw()
         if not raw:
             return {}
         try:
@@ -136,11 +160,11 @@ class _Handler(BaseHTTPRequestHandler):
             raise BadRequestError("request body must be a JSON object")
         return doc
 
-    def _dispatch(self, method: str) -> None:
+    def _dispatch(self) -> None:
         split = urlsplit(self.path)
         path, query = split.path.rstrip("/") or "/", parse_qs(split.query)
         try:
-            self.service.route(self, method, path, query)
+            self.service.route(self, self.command, path, query)
         except ServiceError as exc:
             self._send_error(exc)
         except BrokenPipeError:  # client went away mid-response
@@ -150,14 +174,7 @@ class _Handler(BaseHTTPRequestHandler):
                 500, {"error": "internal", "message": f"{type(exc).__name__}: {exc}"}
             )
 
-    def do_GET(self) -> None:
-        self._dispatch("GET")
-
-    def do_POST(self) -> None:
-        self._dispatch("POST")
-
-    def do_PUT(self) -> None:
-        self._dispatch("PUT")
+    do_GET = do_POST = do_PUT = _dispatch
 
 
 class TuningServer:
@@ -200,17 +217,11 @@ class TuningServer:
         self._httpd.service = self  # type: ignore[attr-defined]
         self._serve_thread: Optional[threading.Thread] = None
         self._draining = threading.Event()
+        self._lifecycle = threading.Lock()
+        self._serving = False
         self._drained = threading.Event()
-        # Governor sessions (/v1/govern): keyed controllers that learn
-        # across requests. Creation and stepping happen under one lock —
-        # a controller's RNG/trace is not safe under concurrent decide().
-        self._governors: Dict[str, Any] = {}
-        self._governors_lock = threading.Lock()
-        # Power-cap sessions (/v1/powercap): keyed ClusterCapControllers
-        # whose fleet membership, demand and trace persist across
-        # requests. Same single-lock discipline as governor sessions.
-        self._powercaps: Dict[str, Any] = {}
-        self._powercaps_lock = threading.Lock()
+        # /v1/govern and /v1/powercap controllers, keyed per session.
+        self.sessions = KeyedSessions()
 
     # -- caching -------------------------------------------------------
 
@@ -242,27 +253,22 @@ class TuningServer:
             )
         return None
 
-    # -- governor sessions ---------------------------------------------
+    # -- keyed sessions: parse and check everything, then step ---------
 
     def govern(self, payload: Dict[str, Any]) -> Dict[str, Any]:
         """One step of an online governor session.
 
-        The caller posts observed telemetry samples and gets back the
-        frequencies to pin next, the per-phase convergence state and the
-        currently learned power curve. Sessions are keyed by
-        ``(session, arch, policy, seed, window)``, so independent
-        clients (or replays with a different seed) never share a
-        controller.
+        Observed telemetry ``samples`` in; the frequencies to pin next,
+        per-phase convergence and the learned power curves out. Keyed
+        by ``(session, arch, policy, seed, window)``.
         """
         from repro.governor import Phase, make_governor
+        from repro.governor.telemetry import check_sample
 
-        arch = str(payload.get("arch", "broadwell"))
-        try:
-            from repro.hardware.cpu import get_cpu
-
-            cpu = get_cpu(arch)
-        except KeyError as exc:
-            raise BadRequestError(str(exc.args[0]) if exc.args else str(exc))
+        _check_fields(payload, ("session", "arch", "policy", "seed",
+                                "window", "samples"))
+        session = check_name(str(payload.get("session", "default")), "session")
+        cpu = _checked(get_cpu, str(payload.get("arch", "broadwell")))
         policy = str(payload.get("policy", "adaptive"))
         if policy not in ("static", "adaptive"):
             raise BadRequestError(
@@ -277,143 +283,123 @@ class TuningServer:
         samples = payload.get("samples", [])
         if not isinstance(samples, list):
             raise BadRequestError("field 'samples' must be a list")
-        session = str(payload.get("session", "default"))
-        key = f"{session}|{cpu.arch}|{policy}|{seed}|{window}"
+        observed = []
+        for i, sample in enumerate(samples):
+            if not isinstance(sample, dict):
+                raise BadRequestError(f"sample {i} must be an object")
+            try:
+                values = (float(sample["freq_ghz"]), float(sample["power_w"]),
+                          float(sample["runtime_s"]),
+                          int(sample.get("bytes_processed", 0)))
+                observed.append((Phase(str(sample["phase"])),) + values)
+                check_sample(*values)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise BadRequestError(f"invalid telemetry sample {i}: {exc}")
 
-        with self._governors_lock:
-            governor = self._governors.get(key)
-            if governor is None:
-                try:
-                    governor = make_governor(policy, cpu, seed=seed, window=window)
-                except ValueError as exc:
-                    raise BadRequestError(str(exc))
-                self._governors[key] = governor
-            for i, sample in enumerate(samples):
-                if not isinstance(sample, dict):
-                    raise BadRequestError(f"sample {i} must be an object")
-                try:
-                    governor.observe(
-                        sample["phase"],
-                        float(sample["freq_ghz"]),
-                        float(sample["power_w"]),
-                        float(sample["runtime_s"]),
-                        int(sample.get("bytes_processed", 0)),
-                    )
-                except (KeyError, TypeError, ValueError) as exc:
-                    raise BadRequestError(f"invalid telemetry sample {i}: {exc}")
+        def step(governor) -> Dict[str, Any]:
+            for sample in observed:
+                governor.observe(*sample)
             phases = (Phase.COMPRESS, Phase.WRITE)
-            frequencies = {p.value: governor.decide(p) for p in phases}
             fitted = getattr(governor, "fitted", lambda p: None)
             return {
                 "session": session,
                 "arch": cpu.arch,
                 "policy": policy,
-                "frequencies": frequencies,
+                "frequencies": {p.value: governor.decide(p) for p in phases},
                 "converged": {p.value: governor.is_converged(p) for p in phases},
                 "curves": {p.value: fitted(p) for p in phases},
                 "samples_seen": governor.telemetry.published,
             }
 
-    # -- power-cap sessions ---------------------------------------------
+        return self.sessions.step(
+            "govern", f"{session}|{cpu.arch}|{policy}|{seed}|{window}",
+            lambda: _checked(make_governor, policy, cpu, seed=seed,
+                             window=window),
+            step,
+        )
 
     def powercap(self, payload: Dict[str, Any]) -> Dict[str, Any]:
         """One step of a cluster power-cap session.
 
-        The caller posts fleet membership changes (``nodes`` to join,
-        ``leave`` to drop), optional per-node watt ``demands`` and an
-        optional ``phase``; the response carries every node's current
-        watt cap and ``cap_ghz`` ceiling (to feed
-        ``Governor.decide(cap_ghz=...)``), the modeled makespan and the
-        sha256 trace receipt. Sessions are keyed by
-        ``(session, policy, budget_w, nfs_reserve_w)`` so independent
-        fleets never share a controller.
+        Membership changes (``nodes`` to join, ``leave`` to drop), watt
+        ``demands`` and a ``phase`` in; every node's watt cap and
+        ``cap_ghz`` ceiling, the modeled makespan and the sha256 trace
+        receipt out. Keyed by ``(session, policy, budget_w, nfs_reserve_w)``.
         """
-        from repro.hardware.cpu import get_cpu
         from repro.hardware.powercurves import CalibratedPowerCurve
         from repro.powercap import ALLOCATION_POLICIES, ClusterCapController
+        from repro.powercap.allocation import check_budget_w
+        from repro.powercap.controller import _phase_name
 
-        try:
-            budget_w = float(payload["budget_w"])
-        except KeyError:
-            raise BadRequestError("field 'budget_w' is required")
-        except (TypeError, ValueError):
-            raise BadRequestError("field 'budget_w' must be a number")
+        _check_fields(payload, ("session", "budget_w", "policy",
+                                "nfs_reserve_w", "nodes", "leave", "demands",
+                                "phase", "reallocate"))
+        session = check_name(str(payload.get("session", "default")), "session")
+        budget_w = _as_float(payload, "budget_w", _require(payload, "budget_w"))
         policy = str(payload.get("policy", "waterfill"))
         if policy not in ALLOCATION_POLICIES:
             raise BadRequestError(
                 f"unknown allocation policy {policy!r}; the service offers: "
                 + ", ".join(ALLOCATION_POLICIES)
             )
-        try:
-            nfs_reserve_w = float(payload.get("nfs_reserve_w", 40.0))
-        except (TypeError, ValueError):
-            raise BadRequestError("field 'nfs_reserve_w' must be a number")
+        nfs_reserve_w = _as_float(payload, "nfs_reserve_w",
+                                  payload.get("nfs_reserve_w", 40.0))
         nodes = payload.get("nodes", [])
-        if not isinstance(nodes, list):
-            raise BadRequestError("field 'nodes' must be a list")
         leave = payload.get("leave", [])
-        if not isinstance(leave, list):
-            raise BadRequestError("field 'leave' must be a list")
         demands = payload.get("demands", {})
-        if not isinstance(demands, dict):
-            raise BadRequestError("field 'demands' must be an object")
-        session = str(payload.get("session", "default"))
-        key = f"{session}|{policy}|{budget_w:g}|{nfs_reserve_w:g}"
+        for name, value, kind in (("nodes", nodes, list), ("leave", leave, list),
+                                  ("demands", demands, dict)):
+            if not isinstance(value, kind):
+                raise BadRequestError(f"field {name!r} must be a "
+                                      + ("list" if kind is list else "an object"))
+        joins = []
+        for i, node in enumerate(nodes):
+            if not isinstance(node, dict) or "id" not in node:
+                raise BadRequestError(
+                    f"node {i} must be an object with an 'id' field"
+                )
+            cpu = _checked(get_cpu, str(node.get("arch", "broadwell")))
+            try:
+                node_id, work = str(node["id"]), float(node.get("work", 1.0))
+                if not node_id:
+                    raise ValueError("node_id must be a non-empty string")
+                check_positive(work, "work")
+            except (TypeError, ValueError) as exc:
+                raise BadRequestError(f"invalid node {i}: {exc}")
+            joins.append((node_id, cpu, work))
+        leave = [str(node_id) for node_id in leave]
+        watts = {}
+        for node_id, value in demands.items():
+            try:
+                watts[node_id] = check_budget_w(float(value), "power_w")
+            except (TypeError, ValueError) as exc:
+                raise BadRequestError(f"invalid demand for {node_id!r}: {exc}")
+        phase = payload.get("phase")
+        if phase is not None:
+            phase = _checked(_phase_name, str(phase))
 
-        with self._powercaps_lock:
-            controller = self._powercaps.get(key)
-            if controller is None:
-                try:
-                    controller = ClusterCapController(
-                        budget_w, policy=policy, nfs_reserve_w=nfs_reserve_w
-                    )
-                except ValueError as exc:
-                    raise BadRequestError(str(exc))
-                self._powercaps[key] = controller
-            for i, node in enumerate(nodes):
-                if not isinstance(node, dict) or "id" not in node:
-                    raise BadRequestError(
-                        f"node {i} must be an object with an 'id' field"
-                    )
-                arch = str(node.get("arch", "broadwell"))
-                try:
-                    cpu = get_cpu(arch)
-                except KeyError as exc:
-                    raise BadRequestError(
-                        str(exc.args[0]) if exc.args else str(exc)
-                    )
-                try:
-                    work = float(node.get("work", 1.0))
-                    controller.join(
-                        str(node["id"]), cpu, CalibratedPowerCurve(), work=work
-                    )
-                except (TypeError, ValueError) as exc:
-                    raise BadRequestError(f"invalid node {i}: {exc}")
+        def step(controller) -> Dict[str, Any]:
+            members = set(controller.node_ids()) | {j[0] for j in joins}
             for node_id in leave:
-                try:
-                    controller.leave(str(node_id))
-                except KeyError as exc:
-                    raise BadRequestError(str(exc.args[0]))
-            for node_id, watts in demands.items():
-                try:
-                    controller.record_demand(str(node_id), float(watts))
-                except KeyError as exc:
-                    raise BadRequestError(str(exc.args[0]))
-                except (TypeError, ValueError) as exc:
-                    raise BadRequestError(
-                        f"invalid demand for {node_id!r}: {exc}"
-                    )
-            if not controller.node_ids():
+                if node_id not in members:
+                    raise BadRequestError(f"unknown node_id {node_id!r}")
+                members.remove(node_id)
+            for node_id in watts:
+                if node_id not in members:
+                    raise BadRequestError(f"unknown node_id {node_id!r}")
+            if not members:
                 raise BadRequestError(
                     "session has no nodes; post at least one in 'nodes'"
                 )
-            phase = payload.get("phase")
+            for node_id, cpu, work in joins:
+                controller.join(node_id, cpu, CalibratedPowerCurve(), work=work)
+            for node_id in leave:
+                controller.leave(node_id)
+            for node_id, value in watts.items():
+                controller.record_demand(node_id, value)
             if phase is not None:
-                try:
-                    controller.begin_phase(str(phase))
-                except ValueError as exc:
-                    raise BadRequestError(str(exc))
-            if demands or payload.get("reallocate"):
+                controller.begin_phase(phase)
+            if watts or payload.get("reallocate"):
                 controller.reallocate("request")
             report = controller.report()
             return {
@@ -424,16 +410,20 @@ class TuningServer:
                 "phase": controller.phase,
                 "epoch": controller.epoch,
                 "caps": {
-                    node_id: {
-                        "cap_w": cap.cap_w,
-                        "cap_ghz": cap.cap_ghz,
-                        "infeasible": cap.infeasible,
-                    }
+                    node_id: {"cap_w": cap.cap_w, "cap_ghz": cap.cap_ghz,
+                              "infeasible": cap.infeasible}
                     for node_id, cap in sorted(controller.caps().items())
                 },
                 "makespan": controller.last_makespan,
                 "trace_sha256": report.trace_sha256,
             }
+
+        return self.sessions.step(
+            "powercap", f"{session}|{policy}|{budget_w:g}|{nfs_reserve_w:g}",
+            lambda: _checked(ClusterCapController, budget_w, policy=policy,
+                             nfs_reserve_w=nfs_reserve_w),
+            step,
+        )
 
     # -- addressing ----------------------------------------------------
 
@@ -451,6 +441,11 @@ class TuningServer:
 
     def serve_forever(self) -> None:
         """Block serving requests until :meth:`drain`/``shutdown``."""
+        with self._lifecycle:
+            # A drain that began first closes the listener itself.
+            if self._draining.is_set():
+                return
+            self._serving = True
         self._httpd.serve_forever(poll_interval=0.05)
         self._httpd.server_close()
 
@@ -477,7 +472,11 @@ class TuningServer:
         self._draining.set()
         ok = self.scheduler.close(timeout)
         ok = self.jobs.drain(timeout) and ok
-        self._httpd.shutdown()
+        with self._lifecycle:  # shutdown() would wait forever for no loop
+            if self._serving:
+                self._httpd.shutdown()
+            else:
+                self._httpd.server_close()
         if self._serve_thread is not None:
             self._serve_thread.join(timeout)
         self._drained.set()
@@ -508,13 +507,7 @@ class TuningServer:
                 return
             if path == "/metrics":
                 body = prometheus_text(get_metrics_registry()).encode("utf-8")
-                http.send_response(200)
-                http.send_header(
-                    "Content-Type", "text/plain; version=0.0.4; charset=utf-8"
-                )
-                http.send_header("Content-Length", str(len(body)))
-                http.end_headers()
-                http.wfile.write(body)
+                http._send(200, body, "text/plain; version=0.0.4; charset=utf-8")
                 return
             if path == "/v1/models":
                 http._send_json(200, {
@@ -523,12 +516,8 @@ class TuningServer:
                 return
             if path.startswith("/v1/models/"):
                 name = path[len("/v1/models/"):]
-                version = None
-                if "version" in query:
-                    try:
-                        version = int(query["version"][0])
-                    except (TypeError, ValueError):
-                        raise BadRequestError("query 'version' must be an integer")
+                version = (_as_int("version", query["version"][0])
+                           if "version" in query else None)
                 http._send_json(200, self.registry.entry(name, version).as_dict())
                 return
             if path.startswith("/v1/jobs/"):
@@ -540,10 +529,7 @@ class TuningServer:
                 name = path[len("/v1/models/"):]
                 if self.draining:
                     raise ServiceClosedError("draining; not accepting models")
-                length = int(http.headers.get("Content-Length") or 0)
-                if length > _MAX_BODY_BYTES:
-                    raise BadRequestError("bundle document too large")
-                raw = http.rfile.read(length).decode("utf-8", errors="replace")
+                raw = http._read_raw().decode("utf-8", errors="replace")
                 entry = self.registry.put_json(name, raw)
                 http._send_json(200, entry.as_dict())
                 return
@@ -552,10 +538,7 @@ class TuningServer:
                 payload = http._read_body()
                 deadline_s = payload.pop("deadline_s", None)
                 if deadline_s is not None:
-                    try:
-                        deadline_s = float(deadline_s)
-                    except (TypeError, ValueError):
-                        raise BadRequestError("field 'deadline_s' must be a number")
+                    deadline_s = _as_float(payload, "deadline_s", deadline_s)
                     if deadline_s <= 0:
                         raise BadRequestError("field 'deadline_s' must be > 0")
                 if self.draining:
@@ -564,15 +547,11 @@ class TuningServer:
                 result = self.scheduler.perform(kind, payload, deadline_s)
                 http._send_json(200, result)
                 return
-            if path == "/v1/govern":
+            if path in ("/v1/govern", "/v1/powercap"):
                 if self.draining:
                     raise ServiceClosedError("draining; not accepting requests")
-                http._send_json(200, self.govern(http._read_body()))
-                return
-            if path == "/v1/powercap":
-                if self.draining:
-                    raise ServiceClosedError("draining; not accepting requests")
-                http._send_json(200, self.powercap(http._read_body()))
+                step = self.govern if path == "/v1/govern" else self.powercap
+                http._send_json(200, step(http._read_body()))
                 return
             if path == "/v1/characterize":
                 payload = http._read_body()

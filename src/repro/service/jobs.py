@@ -19,7 +19,7 @@ import threading
 import time
 import uuid
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional
 
 from repro.observability.metrics import get_registry as get_metrics_registry
 from repro.observability.tracer import get_tracer
@@ -89,9 +89,7 @@ class JobManager:
         )
 
     def _unfinished_locked(self) -> int:
-        return sum(
-            1 for j in self._jobs.values() if j.state in ("queued", "running")
-        )
+        return sum(j.state in ("queued", "running") for j in self._jobs.values())
 
     def submit(self, kind: str, fn: Callable[[], Any]) -> Job:
         """Accept *fn* as a job; returns the queued :class:`Job`."""
@@ -120,23 +118,15 @@ class JobManager:
         with self._lock:
             job.state = "running"
             job.started_at = time.time()
-        tracer = get_tracer()
         try:
-            with tracer.span(f"service.job.{job.kind}", job_id=job.id):
-                result = fn()
+            with get_tracer().span(f"service.job.{job.kind}", job_id=job.id):
+                job.result, state = fn(), "succeeded"
         except Exception as exc:
-            with self._lock:
-                job.state = "failed"
-                job.error = f"{type(exc).__name__}: {exc}"
-                job.finished_at = time.time()
-                self._counters["failed"].inc()
-                self._running_gauge.set(self._unfinished_locked())
-            return
+            job.error, state = f"{type(exc).__name__}: {exc}", "failed"
         with self._lock:
-            job.state = "succeeded"
-            job.result = result
+            job.state = state
             job.finished_at = time.time()
-            self._counters["succeeded"].inc()
+            self._counters[state].inc()
             self._running_gauge.set(self._unfinished_locked())
 
     def get(self, job_id: str) -> Job:
@@ -145,12 +135,6 @@ class JobManager:
             if job is None:
                 raise NotFoundError(f"unknown job id {job_id!r}")
             return job
-
-    def jobs(self) -> Tuple[Job, ...]:
-        with self._lock:
-            return tuple(
-                sorted(self._jobs.values(), key=lambda j: j.submitted_at)
-            )
 
     def unfinished(self) -> int:
         with self._lock:

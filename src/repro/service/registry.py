@@ -41,7 +41,17 @@ from repro.service.errors import BadRequestError, NotFoundError
 
 __all__ = ["ModelEntry", "ModelRegistry"]
 
-_NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,127}$")
+_NAME_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]{0,127}")
+
+
+def check_name(name, what: str) -> str:
+    """*name* if it is a valid model name or session id, else a 400."""
+    if not isinstance(name, str) or not _NAME_RE.fullmatch(name):
+        raise BadRequestError(
+            f"invalid {what} {name!r} (want [A-Za-z0-9._-], "
+            "starting alphanumeric, at most 128 chars)"
+        )
+    return name
 
 
 @dataclass(frozen=True)
@@ -96,11 +106,7 @@ class ModelRegistry:
         Idempotent on content: if the latest version of *name* already
         has this fingerprint, that entry is returned unchanged.
         """
-        if not isinstance(name, str) or not _NAME_RE.match(name):
-            raise BadRequestError(
-                f"invalid model name {name!r} (want [A-Za-z0-9._-], "
-                "starting alphanumeric, at most 128 chars)"
-            )
+        check_name(name, "model name")
         text = bundle.to_json()
         fingerprint = bundle.fingerprint()
         with self._lock:
@@ -171,8 +177,7 @@ class ModelRegistry:
 
     def get(self, name: str, version: Optional[int] = None) -> ModelBundle:
         """The parsed bundle for ``name[@version]``, via the LRU."""
-        bundle, _ = self.get_with_entry(name, version)
-        return bundle
+        return self.get_with_entry(name, version)[0]
 
     def get_with_entry(
         self, name: str, version: Optional[int] = None

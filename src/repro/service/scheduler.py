@@ -73,12 +73,8 @@ class Ticket:
         self._result: Any = None
         self._error: Optional[BaseException] = None
 
-    def resolve(self, result: Any) -> None:
-        self._result = result
-        self._done.set()
-
-    def reject(self, error: BaseException) -> None:
-        self._error = error
+    def settle(self, result: Any, error: Optional[BaseException]) -> None:
+        self._result, self._error = result, error
         self._done.set()
 
     def expired(self, now: float) -> bool:
@@ -194,12 +190,8 @@ class Scheduler:
 
     # -- admission -----------------------------------------------------
 
-    def submit(
-        self,
-        kind: str,
-        payload: Dict[str, Any],
-        deadline_s: Optional[float] = None,
-    ) -> Ticket:
+    def submit(self, kind: str, payload: Dict[str, Any],
+               deadline_s: Optional[float] = None) -> Ticket:
         """Admit one request; never blocks on a full queue.
 
         Raises :class:`ServiceClosedError` while draining and
@@ -239,13 +231,9 @@ class Scheduler:
         self._depth.set(self._queue.qsize())
         return ticket
 
-    def perform(
-        self,
-        kind: str,
-        payload: Dict[str, Any],
-        deadline_s: Optional[float] = None,
-        timeout: Optional[float] = None,
-    ) -> Any:
+    def perform(self, kind: str, payload: Dict[str, Any],
+                deadline_s: Optional[float] = None,
+                timeout: Optional[float] = None) -> Any:
         """Submit and wait: the synchronous convenience the HTTP layer uses."""
         return self.submit(kind, payload, deadline_s).result(timeout)
 
@@ -306,10 +294,9 @@ class Scheduler:
     def _run_group(
         self, group: _Group
     ) -> Tuple[Any, Optional[BaseException]]:
-        tracer = get_tracer()
         try:
-            with tracer.span(f"service.{group.kind}",
-                             waiters=len(group.tickets)):
+            with get_tracer().span(f"service.{group.kind}",
+                                   waiters=len(group.tickets)):
                 if group.cache_key is not None:
                     result = self._cache.get_or_compute(
                         group.cache_key,
@@ -339,10 +326,7 @@ class Scheduler:
             labels={"endpoint": ticket.kind, "status": status},
             help="Requests completed per endpoint and status",
         ).inc()
-        if error is None:
-            ticket.resolve(result)
-        else:
-            ticket.reject(error)
+        ticket.settle(result, error)
 
     # -- lifecycle -----------------------------------------------------
 

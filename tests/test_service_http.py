@@ -285,6 +285,19 @@ class TestJobs:
 
 
 class TestDrain:
+    def test_drain_of_unstarted_server_returns(self):
+        server = TuningServer(ServiceConfig(port=0, workers=1))
+        result = []
+        drainer = threading.Thread(
+            target=lambda: result.append(server.drain(timeout=1)), daemon=True
+        )
+        drainer.start()
+        drainer.join(5.0)
+        assert not drainer.is_alive(), "drain() blocked with no serve loop"
+        assert result == [True]
+        # A serve loop asked for after the drain returns at once.
+        server.serve_forever()
+
     def test_drain_flips_readyz_and_refuses_new_work(self):
         server = TuningServer(ServiceConfig(port=0, workers=2))
         server.registry.put("prod", make_bundle())
