@@ -971,7 +971,7 @@ def _cmd_powercap(args) -> int:
     from repro.compressors import SZCompressor
     from repro.data.registry import load_field
     from repro.hardware.cpu import get_cpu
-    from repro.iosim.cluster import Cluster, SimulatedCluster
+    from repro.iosim.cluster import Cluster
 
     cpu = get_cpu(args.arch)
     arr = load_field("nyx", "velocity_x", scale=args.scale)
@@ -979,7 +979,7 @@ def _cmd_powercap(args) -> int:
 
     uncapped = Cluster(cpu, n_nodes=args.nodes, seed=args.seed, repeats=3)
     base = uncapped.dump_all(SZCompressor(), arr, args.error_bound, per_node)
-    capped_cluster = SimulatedCluster(
+    capped_cluster = Cluster(
         cpu, n_nodes=args.nodes, seed=args.seed, repeats=3,
         power_budget_w=args.budget_w, policy=args.policy,
         nfs_reserve_w=args.nfs_reserve_w,

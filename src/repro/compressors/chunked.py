@@ -23,7 +23,7 @@ import time
 import zlib
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterator, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -44,7 +44,7 @@ from repro.parallel import (
 )
 from repro.utils.validation import as_float_array, check_positive
 
-__all__ = ["ChunkedBuffer", "ChunkedCompressor", "CorruptChunkError"]
+__all__ = ["ChunkedBuffer", "ChunkedCompressor", "CorruptChunkError", "split_slabs"]
 
 _MAGIC = b"RPCK"
 #: magic + ndim byte + chunk-count u32; the shape table adds 8 bytes/dim.
@@ -151,6 +151,20 @@ class ChunkedBuffer:
         return cls(chunks=tuple(chunks), shape=tuple(int(s) for s in shape))
 
 
+def split_slabs(data, max_chunk_bytes: int) -> List[np.ndarray]:
+    """The slabs :class:`ChunkedCompressor` compresses *data* as.
+
+    The split runs on the float array the codecs see (non-float input is
+    promoted to float64 first), in leading-axis row blocks of at most
+    *max_chunk_bytes* (at least one row each). Whoever needs the slab
+    count up front, such as a fault plan sizing its targets, calls this.
+    """
+    arr = as_float_array(data, "data")
+    row_bytes = arr.nbytes // arr.shape[0] if arr.shape[0] else arr.nbytes
+    rows = max(1, max_chunk_bytes // max(row_bytes, 1))
+    return [arr[lo : lo + rows] for lo in range(0, arr.shape[0], rows)]
+
+
 def _compress_slab(codec: Compressor, error_bound: float, slab: np.ndarray):
     """Module-level so process-pool workers can pickle the task."""
     return codec.compress(slab, error_bound)
@@ -212,12 +226,6 @@ class ChunkedCompressor:
         self.slab_wrapper = slab_wrapper
         #: Timing of the most recent compress/decompress call.
         self.last_stats: Optional[ParallelStats] = None
-
-    def _slabs(self, arr: np.ndarray) -> Iterator[np.ndarray]:
-        row_bytes = arr.nbytes // arr.shape[0] if arr.shape[0] else arr.nbytes
-        rows = max(1, self.max_chunk_bytes // max(row_bytes, 1))
-        for lo in range(0, arr.shape[0], rows):
-            yield arr[lo : lo + rows]
 
     def _run(self, op, fn, items, bytes_in, bytes_out_of):
         """Map *fn* over *items* through the configured executor and
@@ -311,7 +319,7 @@ class ChunkedCompressor:
         byte for byte.
         """
         arr = as_float_array(data, "data")
-        slabs = list(self._slabs(arr))
+        slabs = split_slabs(arr, self.max_chunk_bytes)
         chunks = self._run(
             "compress",
             partial(_compress_slab, self.codec, float(error_bound)),

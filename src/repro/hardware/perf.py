@@ -5,6 +5,8 @@ The paper samples each (frequency, workload) point 10 times with
 protocol on a :class:`~repro.hardware.node.SimulatedNode` and returns
 :class:`PowerSample` records carrying both the averages and the raw
 repeats (needed for the 95 % confidence bands of Figs. 1-4).
+:meth:`PerfStat.measure` is the only repeat-and-average loop: the
+sweeps and every :mod:`repro.iosim` stage measure through it.
 """
 
 from __future__ import annotations
@@ -76,6 +78,12 @@ class PerfStat:
             energy_samples=tuple(energies.tolist()),
             runtime_samples=tuple(runtimes.tolist()),
         )
+
+    def stage(self, workload: Workload, freq_ghz: float) -> Tuple[float, float, float]:
+        """:meth:`measure` as ``(freq_ghz, runtime_s, energy_j)``, the
+        stage triple the I/O simulators and the resilience engine use."""
+        sample = self.measure(workload, freq_ghz)
+        return sample.freq_ghz, sample.runtime_s, sample.energy_j
 
     def sweep(self, workload: Workload, frequencies=None) -> Tuple[PowerSample, ...]:
         """Measure *workload* across a frequency grid (default: full DVFS range)."""

@@ -32,6 +32,8 @@ __all__ = [
     "leading_loads",
     "cross_cpu_factor",
     "WorkloadKind",
+    "CODEC_KINDS",
+    "codec_kind",
     "Workload",
     "FREQUENCY_SENSITIVITY",
     "REFERENCE_THROUGHPUT_MBPS",
@@ -82,6 +84,25 @@ class WorkloadKind(enum.Enum):
     def is_codec(self) -> bool:
         """Codec stages (compression or decompression) vs. pure I/O."""
         return self.is_compression or self.is_decompression
+
+
+#: The one codec -> kind table: ``(compress, decompress)`` per codec name.
+CODEC_KINDS = {
+    "sz": (WorkloadKind.COMPRESS_SZ, WorkloadKind.DECOMPRESS_SZ),
+    "zfp": (WorkloadKind.COMPRESS_ZFP, WorkloadKind.DECOMPRESS_ZFP),
+}
+
+
+def codec_kind(codec: str, decompress: bool = False) -> WorkloadKind:
+    """Workload kind of compressing (or decompressing) with *codec*.
+
+    Raises ``KeyError`` for a codec with no workload kind; callers that
+    answer with another error type catch it and list :data:`CODEC_KINDS`.
+    """
+    try:
+        return CODEC_KINDS[codec][int(decompress)]
+    except KeyError:
+        raise KeyError(f"no workload kind for codec {codec!r}") from None
 
 
 #: Leading-loads compute fraction per (kind, arch). Calibration (§V):

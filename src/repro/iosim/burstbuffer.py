@@ -20,17 +20,13 @@ import numpy as np
 
 from repro.compressors.base import Compressor
 from repro.hardware.node import SimulatedNode
-from repro.hardware.workload import WorkloadKind, compression_workload, write_workload
+from repro.hardware.perf import PerfStat
+from repro.hardware.workload import codec_kind, compression_workload, write_workload
 from repro.iosim.dumper import StageReport
 from repro.iosim.nfs import NfsTarget
 from repro.utils.validation import check_positive
 
 __all__ = ["BurstBufferTarget", "TieredDumpReport", "TieredDumper"]
-
-_KIND_BY_CODEC = {
-    "sz": WorkloadKind.COMPRESS_SZ,
-    "zfp": WorkloadKind.COMPRESS_ZFP,
-}
 
 
 @dataclass(frozen=True)
@@ -82,23 +78,10 @@ class TieredDumper:
         nfs: NfsTarget | None = None,
         repeats: int = 5,
     ) -> None:
-        if repeats < 1:
-            raise ValueError(f"repeats must be >= 1, got {repeats}")
+        self.perf = PerfStat(node, repeats=repeats)
         self.node = node
         self.bb = burst_buffer if burst_buffer is not None else BurstBufferTarget()
         self.nfs = nfs if nfs is not None else NfsTarget()
-        self.repeats = int(repeats)
-
-    def _run_stage(self, workload, freq_ghz: float) -> StageReport:
-        self.node.set_frequency(freq_ghz)
-        runs = [self.node.run(workload) for _ in range(self.repeats)]
-        return StageReport(
-            stage=workload.name,
-            freq_ghz=runs[0].freq_ghz,
-            bytes_processed=workload.bytes_processed,
-            runtime_s=float(np.mean([m.runtime_s for m in runs])),
-            energy_j=float(np.mean([m.energy_j for m in runs])),
-        )
 
     def dump(
         self,
@@ -121,8 +104,7 @@ class TieredDumper:
         site's energy-optimal write frequency for the real deployment.
         """
         check_positive(target_bytes, "target_bytes")
-        if compressor.name not in _KIND_BY_CODEC:
-            raise KeyError(f"no workload kind for codec {compressor.name!r}")
+        kind = codec_kind(compressor.name)
         cpu = self.node.cpu
         f_c = cpu.fmax_ghz if compress_freq_ghz is None else compress_freq_ghz
         f_a = cpu.fmax_ghz if absorb_freq_ghz is None else absorb_freq_ghz
@@ -133,8 +115,7 @@ class TieredDumper:
         compressed = max(1, int(round(target_bytes / ratio)))
 
         wl_c = compression_workload(
-            _KIND_BY_CODEC[compressor.name], target_bytes, error_bound,
-            name="tiered-compress",
+            kind, target_bytes, error_bound, name="tiered-compress"
         )
         wl_absorb = write_workload(
             compressed, self.bb.effective_bandwidth_bps(), name="bb-absorb"
@@ -143,9 +124,9 @@ class TieredDumper:
             compressed, self.nfs.effective_bandwidth_bps(), name="nfs-drain"
         )
         return TieredDumpReport(
-            compress=self._run_stage(wl_c, f_c),
-            absorb=self._run_stage(wl_absorb, f_a),
-            drain=self._run_stage(wl_drain, f_d),
+            compress=StageReport.measured(self.perf, wl_c, f_c),
+            absorb=StageReport.measured(self.perf, wl_absorb, f_a),
+            drain=StageReport.measured(self.perf, wl_drain, f_d),
             compression_ratio=ratio,
             error_bound=error_bound,
         )

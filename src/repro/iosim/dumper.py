@@ -34,9 +34,11 @@ import numpy as np
 
 from repro.cache.fingerprint import fingerprint
 from repro.compressors.base import Compressor
-from repro.compressors.chunked import ChunkedCompressor
+from repro.compressors.chunked import ChunkedCompressor, split_slabs
+from repro.hardware.cpu import CpuSpec
 from repro.hardware.node import SimulatedNode
-from repro.hardware.workload import WorkloadKind, compression_workload
+from repro.hardware.perf import PerfStat
+from repro.hardware.workload import Workload, codec_kind, compression_workload
 from repro.iosim.nfs import NfsTarget
 from repro.iosim.transit import transit_workload
 from repro.observability import get_registry, get_tracer
@@ -49,12 +51,30 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.resilience.policies import RecoveryPolicy
     from repro.resilience.report import SnapshotResilience
 
-__all__ = ["StageReport", "DumpReport", "DataDumper"]
+__all__ = ["StageReport", "DumpReport", "DataDumper", "stage_frequency"]
 
-_KIND_BY_CODEC = {
-    "sz": WorkloadKind.COMPRESS_SZ,
-    "zfp": WorkloadKind.COMPRESS_ZFP,
-}
+
+def stage_frequency(
+    cpu: CpuSpec,
+    phase: str,
+    pinned: Optional[float] = None,
+    cap_ghz: Optional[float] = None,
+    governor=None,
+) -> float:
+    """The clock one stage runs at.
+
+    A *governor* decides (under *cap_ghz*) whenever the stage is not
+    *pinned*. Otherwise the pinned clock, or the base clock when
+    ``None``, is clamped to *cap_ghz* but never below fmin: an
+    infeasible cap of ``0.0`` still runs at the DVFS floor, since the
+    node cannot clock lower.
+    """
+    if governor is not None and pinned is None:
+        return governor.decide(phase, cap_ghz=cap_ghz)
+    freq = cpu.fmax_ghz if pinned is None else pinned
+    if cap_ghz is not None:
+        freq = min(freq, max(cap_ghz, cpu.fmin_ghz))
+    return freq
 
 
 @dataclass(frozen=True)
@@ -70,6 +90,14 @@ class StageReport:
     @property
     def power_w(self) -> float:
         return self.energy_j / self.runtime_s
+
+    @classmethod
+    def measured(
+        cls, perf: PerfStat, workload: Workload, freq_ghz: float
+    ) -> "StageReport":
+        """Measure *workload* at *freq_ghz*; the stage takes its name."""
+        freq, runtime, energy = perf.stage(workload, freq_ghz)
+        return cls(workload.name, freq, workload.bytes_processed, runtime, energy)
 
 
 @dataclass(frozen=True)
@@ -102,9 +130,9 @@ class DumpReport:
 class DataDumper:
     """Runs the compress-then-write pipeline on a simulated node.
 
-    Each stage is executed *repeats* times and averaged, mirroring the
-    paper's measurement protocol — a single noisy run would drown the
-    few-percent savings Fig. 6 compares.
+    Each stage is measured by :meth:`PerfStat.measure` (*repeats* runs,
+    averaged), mirroring the paper's protocol — a single noisy run
+    would drown the few-percent savings Fig. 6 compares.
     """
 
     def __init__(
@@ -116,25 +144,16 @@ class DataDumper:
         executor: "Executor | str" = "auto",
         workers: Optional[int] = None,
     ) -> None:
-        if repeats < 1:
-            raise ValueError(f"repeats must be >= 1, got {repeats}")
+        self.perf = PerfStat(node, repeats=repeats)
         if chunk_bytes is not None:
             check_positive(chunk_bytes, "chunk_bytes")
         self.node = node
         self.nfs = nfs if nfs is not None else NfsTarget()
-        self.repeats = int(repeats)
         self.chunk_bytes = None if chunk_bytes is None else int(chunk_bytes)
         self.executor = executor
         self.workers = workers
         # Monolithic ratio per _ratio_key; see the module docstring.
         self._ratios: Dict[str, float] = {}
-
-    def _run_stage(self, workload, freq_ghz: float):
-        self.node.set_frequency(freq_ghz)
-        runs = [self.node.run(workload) for _ in range(self.repeats)]
-        runtime = float(np.mean([m.runtime_s for m in runs]))
-        energy = float(np.mean([m.energy_j for m in runs]))
-        return runs[0].freq_ghz, runtime, energy
 
     @staticmethod
     def _ratio_key(compressor, sample_field, error_bound) -> str:
@@ -142,14 +161,6 @@ class DataDumper:
             codec=compressor.name, settings=vars(compressor),
             data=sample_field, error_bound=float(error_bound),
         )
-
-    def _n_slabs(self, sample_field: np.ndarray) -> int:
-        """Slab count :class:`ChunkedCompressor` will produce (mirror of
-        its ``_slabs`` split), needed to size fault targets up front."""
-        nrows = sample_field.shape[0]
-        row_bytes = sample_field.nbytes // nrows if nrows else sample_field.nbytes
-        rows = max(1, self.chunk_bytes // max(row_bytes, 1))
-        return len(range(0, nrows, rows))
 
     def dump(
         self,
@@ -202,8 +213,7 @@ class DataDumper:
             the exact uncapped code path.
         """
         check_positive(target_bytes, "target_bytes")
-        if compressor.name not in _KIND_BY_CODEC:
-            raise KeyError(f"no workload kind for codec {compressor.name!r}")
+        kind = codec_kind(compressor.name)
 
         engine: Optional["ResilienceEngine"] = None
         if fault_plan is not None and not fault_plan.is_empty:
@@ -219,13 +229,13 @@ class DataDumper:
             target_bytes=int(target_bytes),
         ):
             return self._dump_traced(
-                compressor, sample_field, error_bound, target_bytes,
+                compressor, kind, sample_field, error_bound, target_bytes,
                 compress_freq_ghz, write_freq_ghz, tracer,
                 engine, int(snapshot_index), governor, phase_caps,
             )
 
     def _dump_traced(
-        self, compressor, sample_field, error_bound, target_bytes,
+        self, compressor, kind, sample_field, error_bound, target_bytes,
         compress_freq_ghz, write_freq_ghz, tracer,
         engine=None, snapshot_index=0, governor=None, phase_caps=None,
     ) -> DumpReport:
@@ -237,7 +247,8 @@ class DataDumper:
                 fault_kwargs = {}
                 if engine is not None:
                     wrapper = engine.injector.slab_wrapper(
-                        snapshot_index, self._n_slabs(sample_field)
+                        snapshot_index,
+                        len(split_slabs(sample_field, self.chunk_bytes)),
                     )
                     if wrapper.any_planned:
                         fault_kwargs = dict(
@@ -295,32 +306,21 @@ class DataDumper:
                 budget_cap_c if cap_freq is None else min(cap_freq, budget_cap_c)
             )
 
-        if governor is not None and compress_freq_ghz is None:
-            f_c = governor.decide("compress", cap_ghz=cap_freq)
-        else:
-            f_c = cpu.fmax_ghz if compress_freq_ghz is None else compress_freq_ghz
-            if cap_freq is not None:
-                f_c = min(f_c, max(cap_freq, cpu.fmin_ghz))
-        if governor is not None and write_freq_ghz is None:
-            f_w = governor.decide("write", cap_ghz=budget_cap_w)
-        else:
-            f_w = cpu.fmax_ghz if write_freq_ghz is None else write_freq_ghz
-            if budget_cap_w is not None:
-                f_w = min(f_w, max(budget_cap_w, cpu.fmin_ghz))
+        f_c = stage_frequency(cpu, "compress", compress_freq_ghz, cap_freq, governor)
+        f_w = stage_frequency(cpu, "write", write_freq_ghz, budget_cap_w, governor)
 
         wl_c = compression_workload(
-            _KIND_BY_CODEC[compressor.name], target_bytes, error_bound,
-            name=f"{compressor.name}-dump",
+            kind, target_bytes, error_bound, name=f"{compressor.name}-dump",
         )
         with tracer.span("dump.compress", bytes_in=int(target_bytes)) as sp:
-            fc_snapped, t_c, e_c = self._run_stage(wl_c, f_c)
+            fc_snapped, t_c, e_c = self.perf.stage(wl_c, f_c)
             sp.set(freq_ghz=fc_snapped, modeled_runtime_s=t_c, modeled_energy_j=e_c)
 
         resilience: Optional["SnapshotResilience"] = None
         if engine is None:
             wl_w = transit_workload(compressed_bytes, self.nfs, name="dump-write")
             with tracer.span("dump.write", bytes_in=compressed_bytes) as sp:
-                fw_snapped, t_w, e_w = self._run_stage(wl_w, f_w)
+                fw_snapped, t_w, e_w = self.perf.stage(wl_w, f_w)
                 sp.set(freq_ghz=fw_snapped, modeled_runtime_s=t_w,
                        modeled_energy_j=e_w)
             write_stage = "write"
@@ -328,7 +328,7 @@ class DataDumper:
             with tracer.span("dump.write", bytes_in=compressed_bytes) as sp:
                 write_stage, fw_snapped, t_w, e_w, resilience = engine.run_write(
                     self.node, self.nfs, compressed_bytes, f_w,
-                    snapshot_index, self._run_stage,
+                    snapshot_index, self.perf.stage,
                 )
                 sp.set(freq_ghz=fw_snapped, modeled_runtime_s=t_w,
                        modeled_energy_j=e_w, outcome=write_stage)

@@ -13,17 +13,13 @@ import numpy as np
 
 from repro.compressors.base import Compressor
 from repro.hardware.node import SimulatedNode
-from repro.hardware.workload import WorkloadKind, decompression_workload, read_workload
+from repro.hardware.perf import PerfStat
+from repro.hardware.workload import codec_kind, decompression_workload, read_workload
 from repro.iosim.dumper import DumpReport, StageReport
 from repro.iosim.nfs import NfsTarget
 from repro.utils.validation import check_positive
 
 __all__ = ["RestoreReport", "DataLoader"]
-
-_DEC_KIND_BY_CODEC = {
-    "sz": WorkloadKind.DECOMPRESS_SZ,
-    "zfp": WorkloadKind.DECOMPRESS_ZFP,
-}
 
 
 class RestoreReport(DumpReport):
@@ -46,18 +42,9 @@ class DataLoader:
     def __init__(
         self, node: SimulatedNode, nfs: NfsTarget | None = None, repeats: int = 10
     ) -> None:
-        if repeats < 1:
-            raise ValueError(f"repeats must be >= 1, got {repeats}")
+        self.perf = PerfStat(node, repeats=repeats)
         self.node = node
         self.nfs = nfs if nfs is not None else NfsTarget()
-        self.repeats = int(repeats)
-
-    def _run_stage(self, workload, freq_ghz: float):
-        self.node.set_frequency(freq_ghz)
-        runs = [self.node.run(workload) for _ in range(self.repeats)]
-        runtime = float(np.mean([m.runtime_s for m in runs]))
-        energy = float(np.mean([m.energy_j for m in runs]))
-        return runs[0].freq_ghz, runtime, energy
 
     def restore(
         self,
@@ -74,8 +61,7 @@ class DataLoader:
         size that must be fetched from the NFS.
         """
         check_positive(target_bytes, "target_bytes")
-        if compressor.name not in _DEC_KIND_BY_CODEC:
-            raise KeyError(f"no workload kind for codec {compressor.name!r}")
+        kind = codec_kind(compressor.name, decompress=True)
 
         buf = compressor.compress(sample_field, error_bound)
         ratio = buf.ratio
@@ -87,13 +73,12 @@ class DataLoader:
 
         wl_r = read_workload(compressed_bytes, self.nfs.effective_bandwidth_bps(),
                              name="restore-read")
-        fr_snapped, t_r, e_r = self._run_stage(wl_r, f_r)
+        fr_snapped, t_r, e_r = self.perf.stage(wl_r, f_r)
 
         wl_d = decompression_workload(
-            _DEC_KIND_BY_CODEC[compressor.name], target_bytes, error_bound,
-            name=f"{compressor.name}-restore",
+            kind, target_bytes, error_bound, name=f"{compressor.name}-restore",
         )
-        fd_snapped, t_d, e_d = self._run_stage(wl_d, f_d)
+        fd_snapped, t_d, e_d = self.perf.stage(wl_d, f_d)
 
         return RestoreReport(
             compress=StageReport(

@@ -12,24 +12,20 @@ actually checkpoint.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
 from repro.compressors.base import Compressor
 from repro.hardware.node import SimulatedNode
-from repro.hardware.workload import WorkloadKind, compression_workload
+from repro.hardware.perf import PerfStat
+from repro.hardware.workload import codec_kind, compression_workload
 from repro.iosim.dumper import StageReport
 from repro.iosim.nfs import NfsTarget
 from repro.iosim.transit import transit_workload
 from repro.utils.validation import check_positive
 
 __all__ = ["SnapshotField", "SnapshotSpec", "SnapshotDumpReport", "SnapshotDumper"]
-
-_KIND_BY_CODEC = {
-    "sz": WorkloadKind.COMPRESS_SZ,
-    "zfp": WorkloadKind.COMPRESS_ZFP,
-}
 
 
 @dataclass(frozen=True)
@@ -101,22 +97,9 @@ class SnapshotDumper:
     def __init__(
         self, node: SimulatedNode, nfs: NfsTarget | None = None, repeats: int = 5
     ) -> None:
-        if repeats < 1:
-            raise ValueError(f"repeats must be >= 1, got {repeats}")
+        self.perf = PerfStat(node, repeats=repeats)
         self.node = node
         self.nfs = nfs if nfs is not None else NfsTarget()
-        self.repeats = int(repeats)
-
-    def _run(self, workload, freq_ghz: float) -> StageReport:
-        self.node.set_frequency(freq_ghz)
-        runs = [self.node.run(workload) for _ in range(self.repeats)]
-        return StageReport(
-            stage=workload.name,
-            freq_ghz=runs[0].freq_ghz,
-            bytes_processed=workload.bytes_processed,
-            runtime_s=float(np.mean([m.runtime_s for m in runs])),
-            energy_j=float(np.mean([m.energy_j for m in runs])),
-        )
 
     def dump(
         self,
@@ -126,8 +109,7 @@ class SnapshotDumper:
         write_freq_ghz: float | None = None,
     ) -> SnapshotDumpReport:
         """Dump the snapshot at the given per-stage frequencies."""
-        if compressor.name not in _KIND_BY_CODEC:
-            raise KeyError(f"no workload kind for codec {compressor.name!r}")
+        kind = codec_kind(compressor.name)
         cpu = self.node.cpu
         f_c = cpu.fmax_ghz if compress_freq_ghz is None else compress_freq_ghz
         f_w = cpu.fmax_ghz if write_freq_ghz is None else write_freq_ghz
@@ -140,15 +122,13 @@ class SnapshotDumper:
             ratios[field.name] = buf.ratio
             total_compressed += max(1, int(round(field.target_bytes / buf.ratio)))
             wl = compression_workload(
-                _KIND_BY_CODEC[compressor.name],
-                field.target_bytes,
-                field.error_bound,
+                kind, field.target_bytes, field.error_bound,
                 name=f"snap:{field.name}",
             )
-            per_field[field.name] = self._run(wl, f_c)
+            per_field[field.name] = StageReport.measured(self.perf, wl, f_c)
 
         wl_w = transit_workload(total_compressed, self.nfs, name="snap-write")
-        write = self._run(wl_w, f_w)
+        write = StageReport.measured(self.perf, wl_w, f_w)
         return SnapshotDumpReport(
             per_field=per_field,
             write=write,

@@ -15,7 +15,7 @@ measure -> allocate -> actuate loop at that layer:
 * :mod:`repro.powercap.runtime` — the observational per-worker cap
   state that distributed ``powercap`` wire frames update.
 
-Consumers: ``iosim.cluster.SimulatedCluster`` (capped cluster dumps),
+Consumers: ``iosim.cluster.Cluster`` (``power_budget_w``: capped cluster dumps),
 ``workflow.campaign`` (``power_budget_w`` on campaign points), the
 distributed coordinator (cap broadcast + dead-node redistribution),
 ``service.http`` (``POST /v1/powercap``) and the ``repro powercap``

@@ -29,11 +29,16 @@ import json
 import threading
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Mapping, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.hardware.cpu import CpuSpec
 from repro.hardware.powercurves import PowerCurve
-from repro.hardware.workload import FREQUENCY_SENSITIVITY, WorkloadKind
+from repro.hardware.workload import (
+    CODEC_KINDS,
+    FREQUENCY_SENSITIVITY,
+    WorkloadKind,
+    codec_kind,
+)
 from repro.powercap.allocation import (
     ALLOCATION_POLICIES,
     DEFAULT_CAP_HYSTERESIS,
@@ -72,11 +77,6 @@ _PHASE_KIND: Dict[str, WorkloadKind] = {
     "idle": WorkloadKind.WRITE,
 }
 
-_CODEC_KIND: Dict[str, WorkloadKind] = {
-    "sz": WorkloadKind.COMPRESS_SZ,
-    "zfp": WorkloadKind.COMPRESS_ZFP,
-}
-
 _EPS = 1e-9
 
 
@@ -92,10 +92,10 @@ def _phase_name(phase) -> str:
 def _phase_kind(phase: str, codec: Optional[str]) -> WorkloadKind:
     if phase == "compress" and codec is not None:
         try:
-            return _CODEC_KIND[codec]
+            return codec_kind(codec)
         except KeyError:
             raise ValueError(
-                f"unknown codec {codec!r}; known: {', '.join(sorted(_CODEC_KIND))}"
+                f"unknown codec {codec!r}; known: {', '.join(sorted(CODEC_KINDS))}"
             ) from None
     return _PHASE_KIND[phase]
 

@@ -9,7 +9,7 @@ ratios; power/runtime comes from the simulated node (see DESIGN.md §2).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -21,7 +21,13 @@ from repro.hardware.cpu import BROADWELL_D1548, SKYLAKE_4114, CpuSpec
 from repro.hardware.node import SimulatedNode
 from repro.hardware.perf import PerfStat
 from repro.hardware.powercurves import PowerCurve
-from repro.hardware.workload import WorkloadKind, compression_workload
+from repro.hardware.workload import (
+    Workload,
+    codec_kind,
+    compression_workload,
+    decompression_workload,
+    read_workload,
+)
 from repro.iosim.nfs import NfsTarget
 from repro.iosim.transit import transit_workload
 
@@ -37,15 +43,9 @@ DEFAULT_FIELDS: Tuple[Tuple[str, str], ...] = (
     ("nyx", "velocity_x"),
 )
 
-_KIND_BY_CODEC = {
-    "sz": WorkloadKind.COMPRESS_SZ,
-    "zfp": WorkloadKind.COMPRESS_ZFP,
-}
-
-_DEC_KIND_BY_CODEC = {
-    "sz": WorkloadKind.DECOMPRESS_SZ,
-    "zfp": WorkloadKind.DECOMPRESS_ZFP,
-}
+#: One sweep cell: the workload plus the record fields that go before
+#: (``labels``) and after (``extra``) the measured ones.
+Cell = Tuple[Workload, Dict[str, Any], Dict[str, Any]]
 
 
 @dataclass(frozen=True)
@@ -158,6 +158,78 @@ def _measured_ratios(
     return ratios
 
 
+def _node_blocks(
+    nodes: Sequence[SimulatedNode],
+    config: SweepConfig,
+    context: str,
+    key_parts: Dict,
+    cells: Sequence[Cell],
+) -> SampleSet:
+    """Measure every cell across each node's DVFS grid.
+
+    Each node runs all cells in order as one cached block (see
+    :func:`_cached_node_block`); a record is
+    ``{"cpu", **labels, <measurement>, **extra}`` per grid frequency.
+    """
+    samples = SampleSet()
+    for node in nodes:
+        def run_block(node=node):
+            perf = PerfStat(node, repeats=config.repeats)
+            freqs = _frequency_grid(node.cpu, config.frequency_stride)
+            return [
+                {
+                    "cpu": sample.cpu,
+                    **labels,
+                    "freq_ghz": sample.freq_ghz,
+                    "power_w": sample.power_w,
+                    "runtime_s": sample.runtime_s,
+                    "energy_j": sample.energy_j,
+                    "power_samples": sample.power_samples,
+                    "runtime_samples": sample.runtime_samples,
+                    **extra,
+                }
+                for workload, labels, extra in cells
+                for sample in perf.sweep(workload, freqs)
+            ]
+
+        samples.extend(_cached_node_block(context, node, key_parts, run_block))
+    return samples
+
+
+def _load_arrays(config: SweepConfig) -> Dict[Tuple[str, str], np.ndarray]:
+    return {
+        (ds, fl): load_field(ds, fl, scale=config.data_scale, seed=config.seed)
+        for ds, fl in config.datasets
+    }
+
+
+def _codec_cells(
+    config: SweepConfig,
+    arrays: Dict[Tuple[str, str], np.ndarray],
+    decompress: bool,
+    ratios: Optional[Dict[Tuple[str, str, str, float], float]] = None,
+) -> List[Cell]:
+    """One cell per (codec, dataset-field, error bound), in sweep order."""
+    build = decompression_workload if decompress else compression_workload
+    tag = "dec:" if decompress else ""
+    cells = []
+    for codec_name in config.compressors:
+        kind = codec_kind(codec_name, decompress)
+        for (ds, fl), arr in arrays.items():
+            for eb in config.error_bounds:
+                workload = build(
+                    kind, arr.nbytes, eb,
+                    name=f"{codec_name}:{tag}{ds}/{fl}@eb={eb:g}",
+                )
+                labels = {"compressor": codec_name, "dataset": ds,
+                          "field": fl, "error_bound": eb}
+                extra = {} if ratios is None else {
+                    "ratio": ratios.get((codec_name, ds, fl, eb), float("nan"))
+                }
+                cells.append((workload, labels, extra))
+    return cells
+
+
 def compression_sweep(
     nodes: Sequence[SimulatedNode],
     config: SweepConfig = SweepConfig(),
@@ -169,53 +241,12 @@ def compression_sweep(
     the true compression ratio. Per-node blocks and per-cell codec
     ratios are served through :mod:`repro.cache` when warm.
     """
-    samples = SampleSet()
-    arrays: Dict[Tuple[str, str], np.ndarray] = {
-        (ds, fl): load_field(ds, fl, scale=config.data_scale, seed=config.seed)
-        for ds, fl in config.datasets
-    }
+    arrays = _load_arrays(config)
     ratios = _measured_ratios(arrays, config)
-
-    for node in nodes:
-        def run_block(node=node):
-            perf = PerfStat(node, repeats=config.repeats)
-            freqs = _frequency_grid(node.cpu, config.frequency_stride)
-            records = []
-            for codec_name in config.compressors:
-                kind = _KIND_BY_CODEC[codec_name]
-                for (ds, fl), arr in arrays.items():
-                    for eb in config.error_bounds:
-                        wl = compression_workload(
-                            kind, arr.nbytes, eb,
-                            name=f"{codec_name}:{ds}/{fl}@eb={eb:g}",
-                        )
-                        for sample in perf.sweep(wl, freqs):
-                            records.append(
-                                {
-                                    "cpu": sample.cpu,
-                                    "compressor": codec_name,
-                                    "dataset": ds,
-                                    "field": fl,
-                                    "error_bound": eb,
-                                    "freq_ghz": sample.freq_ghz,
-                                    "power_w": sample.power_w,
-                                    "runtime_s": sample.runtime_s,
-                                    "energy_j": sample.energy_j,
-                                    "power_samples": sample.power_samples,
-                                    "runtime_samples": sample.runtime_samples,
-                                    "ratio": ratios.get(
-                                        (codec_name, ds, fl, eb), float("nan")
-                                    ),
-                                }
-                            )
-            return records
-
-        samples.extend(
-            _cached_node_block(
-                "sweep.compression", node, {"config": config}, run_block
-            )
-        )
-    return samples
+    cells = _codec_cells(config, arrays, decompress=False, ratios=ratios)
+    return _node_blocks(
+        nodes, config, "sweep.compression", {"config": config}, cells
+    )
 
 
 def transit_sweep(
@@ -225,38 +256,14 @@ def transit_sweep(
 ) -> SampleSet:
     """Run the data-transit measurement campaign (Section IV-B)."""
     nfs = nfs if nfs is not None else NfsTarget()
-    samples = SampleSet()
-    for node in nodes:
-        def run_block(node=node):
-            perf = PerfStat(node, repeats=config.repeats)
-            freqs = _frequency_grid(node.cpu, config.frequency_stride)
-            records = []
-            for size_gb in config.transit_sizes_gb:
-                wl = transit_workload(
-                    int(size_gb * 1e9), nfs, name=f"write@{size_gb:g}GB"
-                )
-                for sample in perf.sweep(wl, freqs):
-                    records.append(
-                        {
-                            "cpu": sample.cpu,
-                            "size_gb": size_gb,
-                            "freq_ghz": sample.freq_ghz,
-                            "power_w": sample.power_w,
-                            "runtime_s": sample.runtime_s,
-                            "energy_j": sample.energy_j,
-                            "power_samples": sample.power_samples,
-                            "runtime_samples": sample.runtime_samples,
-                        }
-                    )
-            return records
-
-        samples.extend(
-            _cached_node_block(
-                "sweep.transit", node, {"config": config, "nfs": nfs},
-                run_block,
-            )
-        )
-    return samples
+    cells = [
+        (transit_workload(int(size_gb * 1e9), nfs, name=f"write@{size_gb:g}GB"),
+         {"size_gb": size_gb}, {})
+        for size_gb in config.transit_sizes_gb
+    ]
+    return _node_blocks(
+        nodes, config, "sweep.transit", {"config": config, "nfs": nfs}, cells
+    )
 
 
 def decompression_sweep(
@@ -266,52 +273,13 @@ def decompression_sweep(
     """Restore-path extension: measure decompression across frequencies.
 
     Mirrors :func:`compression_sweep` with decoder workloads; record
-    schema is identical so the same scaling/fitting machinery applies.
+    schema is identical (less the ratio) so the same scaling/fitting
+    machinery applies.
     """
-    from repro.hardware.workload import decompression_workload
-
-    samples = SampleSet()
-    arrays: Dict[Tuple[str, str], np.ndarray] = {
-        (ds, fl): load_field(ds, fl, scale=config.data_scale, seed=config.seed)
-        for ds, fl in config.datasets
-    }
-    for node in nodes:
-        def run_block(node=node):
-            perf = PerfStat(node, repeats=config.repeats)
-            freqs = _frequency_grid(node.cpu, config.frequency_stride)
-            records = []
-            for codec_name in config.compressors:
-                kind = _DEC_KIND_BY_CODEC[codec_name]
-                for (ds, fl), arr in arrays.items():
-                    for eb in config.error_bounds:
-                        wl = decompression_workload(
-                            kind, arr.nbytes, eb,
-                            name=f"{codec_name}:dec:{ds}/{fl}@eb={eb:g}",
-                        )
-                        for sample in perf.sweep(wl, freqs):
-                            records.append(
-                                {
-                                    "cpu": sample.cpu,
-                                    "compressor": codec_name,
-                                    "dataset": ds,
-                                    "field": fl,
-                                    "error_bound": eb,
-                                    "freq_ghz": sample.freq_ghz,
-                                    "power_w": sample.power_w,
-                                    "runtime_s": sample.runtime_s,
-                                    "energy_j": sample.energy_j,
-                                    "power_samples": sample.power_samples,
-                                    "runtime_samples": sample.runtime_samples,
-                                }
-                            )
-            return records
-
-        samples.extend(
-            _cached_node_block(
-                "sweep.decompression", node, {"config": config}, run_block
-            )
-        )
-    return samples
+    cells = _codec_cells(config, _load_arrays(config), decompress=True)
+    return _node_blocks(
+        nodes, config, "sweep.decompression", {"config": config}, cells
+    )
 
 
 def read_sweep(
@@ -320,38 +288,13 @@ def read_sweep(
     nfs: Optional[NfsTarget] = None,
 ) -> SampleSet:
     """Restore-path extension: measure NFS reads across frequencies."""
-    from repro.hardware.workload import read_workload
-
     nfs = nfs if nfs is not None else NfsTarget()
-    samples = SampleSet()
-    for node in nodes:
-        def run_block(node=node):
-            perf = PerfStat(node, repeats=config.repeats)
-            freqs = _frequency_grid(node.cpu, config.frequency_stride)
-            records = []
-            for size_gb in config.transit_sizes_gb:
-                wl = read_workload(
-                    int(size_gb * 1e9), nfs.effective_bandwidth_bps(),
-                    name=f"read@{size_gb:g}GB",
-                )
-                for sample in perf.sweep(wl, freqs):
-                    records.append(
-                        {
-                            "cpu": sample.cpu,
-                            "size_gb": size_gb,
-                            "freq_ghz": sample.freq_ghz,
-                            "power_w": sample.power_w,
-                            "runtime_s": sample.runtime_s,
-                            "energy_j": sample.energy_j,
-                            "power_samples": sample.power_samples,
-                            "runtime_samples": sample.runtime_samples,
-                        }
-                    )
-            return records
-
-        samples.extend(
-            _cached_node_block(
-                "sweep.read", node, {"config": config, "nfs": nfs}, run_block
-            )
-        )
-    return samples
+    cells = [
+        (read_workload(int(size_gb * 1e9), nfs.effective_bandwidth_bps(),
+                       name=f"read@{size_gb:g}GB"),
+         {"size_gb": size_gb}, {})
+        for size_gb in config.transit_sizes_gb
+    ]
+    return _node_blocks(
+        nodes, config, "sweep.read", {"config": config, "nfs": nfs}, cells
+    )

@@ -139,3 +139,18 @@ class TestConfiguration:
     def test_invalid_workers(self):
         with pytest.raises(ValueError):
             ChunkedCompressor("sz", workers=0)
+
+
+class TestSlabSplit:
+    @pytest.mark.parametrize("dtype", [np.int16, np.int64, np.float32, np.float64])
+    def test_split_matches_the_container(self, dtype):
+        from repro.compressors.chunked import split_slabs
+
+        data = np.arange(64 * 64).reshape(64, 64).astype(dtype)
+        container = ChunkedCompressor("sz", max_chunk_bytes=4096,
+                                      executor="serial").compress(data, 1e-2)
+        slabs = split_slabs(data, 4096)
+        assert len(slabs) == len(container.chunks)
+        assert [s.shape for s in slabs] == [
+            c.shape for c in container.chunks
+        ]

@@ -233,3 +233,36 @@ class TestRatioReuse:
         assert encode_value(reused) == encode_value(fresh)
         if fault_plan is not None:
             assert reused.snapshots[0].resilience is not None
+
+
+class TestSlabPlanning:
+    def test_fault_plan_is_sized_on_the_container_slabs(self, monkeypatch):
+        """An integer sample is promoted to float64 before the slab split,
+        so the fault plan must be sized on the promoted rows too."""
+        from repro.compressors import ChunkedCompressor
+        from repro.resilience.engine import FaultInjector
+
+        seen = []
+        original = FaultInjector.slab_wrapper
+
+        def spy(self, snapshot, n_slabs):
+            seen.append(n_slabs)
+            return original(self, snapshot, n_slabs)
+
+        monkeypatch.setattr(FaultInjector, "slab_wrapper", spy)
+        sample = np.arange(64 * 64, dtype=np.int16).reshape(64, 64)
+        plan = FaultPlan(specs=(
+            FaultSpec(FaultKind.WORKER_CRASH, probability=1.0, targets=(5,)),
+        ), seed=0)
+        dumper = DataDumper(SimulatedNode(BROADWELL_D1548, seed=0), repeats=1,
+                            chunk_bytes=4096, executor="serial")
+        report = dumper.dump(SZCompressor(), sample, 1e-2, 10**9,
+                             fault_plan=plan)
+        container = ChunkedCompressor(
+            SZCompressor(), max_chunk_bytes=4096, executor="serial"
+        ).compress(sample, 1e-2)
+        assert len(container.chunks) == 8
+        assert seen == [len(container.chunks)]
+        assert report.parallel.n_tasks == len(container.chunks)
+        # The crash planned on slab 5 is a real slab, so it fires.
+        assert "worker-crash" in report.resilience.faults

@@ -19,7 +19,7 @@ from repro.compressors import SZCompressor
 from repro.hardware.cpu import BROADWELL_D1548
 from repro.hardware.node import SimulatedNode
 from repro.hardware.powercurves import CalibratedPowerCurve
-from repro.iosim.cluster import Cluster, SimulatedCluster
+from repro.iosim.cluster import Cluster
 from repro.iosim.dumper import DataDumper
 from repro.powercap import ClusterCapController, phase_caps_for_budget
 from repro.workflow.campaign import (
@@ -49,28 +49,10 @@ def campaign():
     )
 
 
-class TestClusterBitIdentity:
-    def test_no_budget_matches_the_plain_cluster_exactly(self, field):
-        plain = Cluster(CPU, 3, seed=0, repeats=2).dump_all(
-            SZCompressor(), field, 1e-2, GB)
-        simulated = SimulatedCluster(CPU, 3, seed=0, repeats=2).dump_all(
-            SZCompressor(), field, 1e-2, GB)
-        assert encode_value(simulated) == encode_value(plain)
-        assert simulated.powercap is None
-
-    def test_budget_none_with_pinned_frequencies_matches_too(self, field):
-        kw = dict(compress_freq_ghz=1.75, write_freq_ghz=1.35)
-        plain = Cluster(CPU, 2, seed=1, repeats=2).dump_all(
-            SZCompressor(), field, 1e-2, GB, **kw)
-        simulated = SimulatedCluster(CPU, 2, seed=1, repeats=2).dump_all(
-            SZCompressor(), field, 1e-2, GB, **kw)
-        assert encode_value(simulated) == encode_value(plain)
-
-
 class TestCappedCluster:
     def test_capped_dump_obeys_the_budget_and_seals_a_receipt(self, field):
         budget, reserve = 120.0, 40.0
-        cluster = SimulatedCluster(
+        cluster = Cluster(
             CPU, 4, seed=0, repeats=2,
             power_budget_w=budget, nfs_reserve_w=reserve)
         report = cluster.dump_all(SZCompressor(), field, 1e-2, GB)
@@ -88,7 +70,7 @@ class TestCappedCluster:
 
     def test_identical_capped_runs_share_a_receipt(self, field):
         def run():
-            cluster = SimulatedCluster(
+            cluster = Cluster(
                 CPU, 3, seed=0, repeats=2, power_budget_w=100.0)
             return cluster.dump_all(SZCompressor(), field, 1e-2, GB)
 
@@ -97,9 +79,9 @@ class TestCappedCluster:
         assert encode_value(a) == encode_value(b)
 
     def test_tight_budget_slows_the_fleet_and_saves_power(self, field):
-        free = SimulatedCluster(CPU, 3, seed=0, repeats=2).dump_all(
+        free = Cluster(CPU, 3, seed=0, repeats=2).dump_all(
             SZCompressor(), field, 1e-2, GB)
-        tight = SimulatedCluster(
+        tight = Cluster(
             CPU, 3, seed=0, repeats=2,
             power_budget_w=90.0, nfs_reserve_w=40.0,
         ).dump_all(SZCompressor(), field, 1e-2, GB)
@@ -111,7 +93,7 @@ class TestCappedCluster:
         assert avg_power <= max(50.0 / 3, floor) + 1.0
 
     def test_governed_cluster_routes_caps_through_decide(self, field):
-        cluster = SimulatedCluster(
+        cluster = Cluster(
             CPU, 2, seed=0, repeats=2,
             power_budget_w=68.0, nfs_reserve_w=40.0, governor="adaptive")
         cluster.dump_all(SZCompressor(), field, 1e-2, GB)
@@ -125,7 +107,7 @@ class TestCappedCluster:
         assert any(e.get("capped_below_fmin") for e in decisions)
 
     def test_governed_cluster_rejects_pinned_frequencies(self, field):
-        cluster = SimulatedCluster(
+        cluster = Cluster(
             CPU, 2, seed=0, power_budget_w=100.0, governor="static")
         with pytest.raises(ValueError, match="cannot pin"):
             cluster.dump_all(SZCompressor(), field, 1e-2, GB,
