@@ -116,10 +116,17 @@ def build_cases(scale: float):
     n_sz = max(1024, int(2_000_000 * scale))
 
     codec, sym = huffman_workload(n_huff)
-    idx = np.searchsorted(codec.alphabet, sym)
-    enc_codes = codec._enc_codes[idx]
-    enc_lens = codec._enc_lengths[idx]
-    bits = kernels.huffman_encode_bits(enc_codes, enc_lens, codec.max_code_length)
+    alphabet = codec.alphabet
+
+    def huffman_encode():
+        # What HuffmanCodec.encode_to runs per chunk: the symbol lookup,
+        # then the bit emission.
+        idx = kernels.huffman_lookup_indices(sym, alphabet)
+        return kernels.huffman_encode_bits(
+            codec._enc_codes[idx], codec._enc_lengths[idx], codec.max_code_length
+        )
+
+    bits = huffman_encode()
 
     rows, planes, block_size = zfp_workload(n_blocks)
     group_bits = kernels.zfp_encode_plane_group(rows, planes)
@@ -134,9 +141,7 @@ def build_cases(scale: float):
     packed = kernels.pack_bits(bits)
 
     return [
-        ("huffman_encode", sym.nbytes,
-         lambda: kernels.huffman_encode_bits(
-             enc_codes, enc_lens, codec.max_code_length)),
+        ("huffman_encode", sym.nbytes, huffman_encode),
         ("huffman_decode", sym.nbytes,
          lambda: kernels.huffman_decode_symbols(
              bits, codec._dec_symbol, codec._dec_length,

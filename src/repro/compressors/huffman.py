@@ -6,9 +6,13 @@ millions of elements, so a per-symbol Python loop is not an option
 loops — canonical code assignment, table-driven bit emission, and
 prefix-table chain decoding — live in
 :mod:`repro.compressors.kernels`, where the default ``vector`` backend
-flattens a masked bit matrix on encode and pointer-doubles a 2^L
-lookup-table jump chain on decode; ``REPRO_KERNELS=scalar`` swaps in
-the byte-identical pure-Python reference loops.
+flattens a masked bit matrix on encode and, on decode, walks the code
+chain through the 2^L prefix table with a segmented lockstep walk
+(:func:`~repro.utils.chains.walk_chain`: lanes started at fixed
+segment boundaries synchronize on the true chain, with a bounded
+pointer-doubling fallback for streams that never do);
+``REPRO_KERNELS=scalar`` swaps in the byte-identical pure-Python
+reference loops.
 
 Codes are canonical (assigned in (length, symbol) order), so only the
 symbol table and code lengths need to be serialized.

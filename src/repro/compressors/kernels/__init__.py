@@ -9,8 +9,13 @@ backends that produce **byte-identical** streams:
 ``vector`` (default)
     NumPy table-driven implementations: canonical code assignment via
     ``bincount``/``cumsum``, bit emission through masked bit-matrix
-    flattening, decode through :func:`repro.utils.chains.follow_chain`
-    pointer doubling, plane coding through broadcast shifts.
+    flattening, plane coding through broadcast shifts. Decoders follow
+    the chunk chain with :func:`repro.utils.chains.walk_chain`: one lane
+    per fixed segment of the stream, all advanced in lockstep; a lane
+    whose path contains its segment's true entry is synchronized, the
+    others are re-walked from it, and after a fixed number of walks
+    pointer doubling finishes any unsettled suffix, so no stream costs
+    O(n) Python iterations.
 ``scalar``
     Pure-Python per-symbol / per-bit reference loops. Orders of
     magnitude slower; kept as the readable specification the

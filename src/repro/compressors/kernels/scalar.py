@@ -25,8 +25,9 @@ name = "scalar"
 _U64 = (1 << 64) - 1
 _NB_MASK = 0xAAAAAAAAAAAAAAAA
 
-#: Error message shared with :func:`repro.utils.chains.follow_chain` so
-#: corrupt streams fail identically under either backend.
+#: Error message shared with :mod:`repro.utils.chains` (the vector
+#: decoders' segmented walk and its doubling fallback) so corrupt
+#: streams fail identically under either backend.
 _ESCAPE_MSG = "jump chain escaped the stream: corrupt input"
 
 

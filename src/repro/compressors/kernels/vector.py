@@ -4,8 +4,9 @@ Every function here is the NumPy counterpart of a loop in
 :mod:`repro.compressors.kernels.scalar` and must emit **identical
 bytes**; the differential suite and the CI ``kernel-equivalence``
 matrix enforce that. No O(n) Python loop is allowed on any path in
-this module — loops below are O(max_code_length) ≤ 32 rounds or
-O(distinct plane counts), never per element.
+this module — loops below are O(max_code_length) ≤ 32 rounds,
+O(distinct plane counts), or the chain walk's bounded lockstep
+iterations, never per element.
 """
 
 from __future__ import annotations
@@ -13,10 +14,16 @@ from __future__ import annotations
 from typing import Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from repro.utils.chains import follow_chain
+from repro.utils.chains import walk_chain
 
 name = "vector"
+
+_I64_MAX = np.iinfo(np.int64).max
+
+#: Largest dense lookup table, in entries per alphabet symbol.
+_DENSE_SLACK = 8
 
 
 # ----------------------------------------------------------------------
@@ -53,14 +60,39 @@ def huffman_histogram(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 def huffman_lookup_indices(
     values: np.ndarray, symbols_sorted: np.ndarray
 ) -> np.ndarray:
-    """Binary-search every symbol against the sorted alphabet at once."""
-    idx = np.searchsorted(symbols_sorted, values)
-    bad = (idx >= symbols_sorted.size) | (
-        symbols_sorted[np.minimum(idx, symbols_sorted.size - 1)] != values
-    )
-    if np.any(bad):
-        missing = values[bad][0]
-        raise KeyError(f"symbol {int(missing)} is not in the codec alphabet")
+    """Dense table over the alphabet's compact prefix, binary search for
+    the rest.
+
+    The prefix is every symbol within ``_DENSE_SLACK * len(alphabet)``
+    of the smallest one (SZ's quantization codes); ``tab[v - lo]`` maps
+    those in one gather. Values outside it (SZ's escape symbol, sparse
+    int64 alphabets) are binary-searched in the remaining suffix.
+    ``v - lo`` may wrap for extreme int64 values, but a wrapped offset
+    never lands inside the table.
+    """
+    nsym = symbols_sorted.size
+    lo = int(symbols_sorted[0]) if nsym else 0
+    limit = min(lo + _DENSE_SLACK * nsym, _I64_MAX)
+    k = int(np.searchsorted(symbols_sorted, limit, side="right"))
+    span = int(symbols_sorted[k - 1]) - lo + 1 if k else 0
+    tab = np.full(span + 1, -1, dtype=np.int64)
+    tab[symbols_sorted[:k] - lo] = np.arange(k)
+    # Unsigned offsets send values below lo past the table; the clipped
+    # index is at most span, so the int64 view is exact (and gathers
+    # faster than a uint64 index).
+    offsets = (values - np.int64(lo)).view(np.uint64)
+    idx = tab[np.minimum(offsets, np.uint64(span)).view(np.int64)]
+    miss = np.flatnonzero(idx < 0)
+    if miss.size:
+        rest = symbols_sorted[k:]
+        wanted = values[miss]
+        pos = np.searchsorted(rest, wanted)
+        found = pos < rest.size
+        found[found] = rest[pos[found]] == wanted[found]
+        if not found.all():
+            missing = wanted[~found][0]
+            raise KeyError(f"symbol {int(missing)} is not in the codec alphabet")
+        idx[miss] = k + pos
     return idx
 
 
@@ -86,21 +118,32 @@ def huffman_decode_symbols(
     count: int,
     max_len: int,
 ) -> np.ndarray:
-    """Prefix-table decode via pointer doubling.
+    """Prefix-table decode via the segmented lockstep chain walk.
 
-    ``w[i]`` is the integer value of the ``max_len``-bit window starting
-    at bit *i*; the code chain ``i -> i + dec_length[w[i]]`` is walked
-    with O(log n) bulk gathers.
+    The ``max_len``-bit window at bit *p* is read on the fly from the
+    packed stream: the big-endian 64-bit word at byte ``p >> 3``,
+    shifted left by ``p & 7`` (``max_len + 7 <= 64`` bits always fit).
+    The code chain ``p -> p + dec_length[window(p)]`` is walked by
+    :func:`~repro.utils.chains.walk_chain`.
     """
-    nbits = bits.size
-    padded = np.concatenate([bits, np.zeros(max_len, dtype=np.uint8)])
-    w = np.zeros(nbits, dtype=np.int64)
-    for j in range(max_len):
-        w |= padded[j : j + nbits].astype(np.int64) << (max_len - 1 - j)
-    lengths_at = dec_length[w]
-    jumps = np.arange(nbits, dtype=np.int64) + lengths_at
-    chain = follow_chain(jumps, 0, count)
-    return dec_symbol[w[chain]]
+    nbytes = (bits.size + 7) // 8
+    padded = np.zeros(nbytes + 8, dtype=np.uint8)
+    padded[:nbytes] = np.packbits(bits)
+    words = (
+        sliding_window_view(padded, 8)[:nbytes].copy().view(">u8").ravel()
+        .astype(np.uint64)
+    )
+    drop = np.uint64(64 - max_len)
+
+    def window(pos: np.ndarray) -> np.ndarray:
+        word = words[pos >> 3] << (pos & 7).view(np.uint64)
+        return (word >> drop).view(np.int64)
+
+    def step(pos: np.ndarray) -> np.ndarray:
+        return pos + dec_length[window(pos)]
+
+    chain, _ = walk_chain(step, bits.size, count)
+    return dec_symbol[window(chain)]
 
 
 # ----------------------------------------------------------------------
@@ -149,22 +192,24 @@ def zfp_encode_plane_group(rows: np.ndarray, planes: np.ndarray) -> np.ndarray:
 def zfp_decode_plane_group(
     bits: np.ndarray, nchunks: int, block_size: int
 ) -> Tuple[np.ndarray, int]:
-    """Walk the chunk chain (1 or ``1 + block_size`` bits each) with
-    pointer doubling, then gather every flagged payload in one shot."""
+    """Walk the chunk chain (1 or ``1 + block_size`` bits each) with the
+    segmented lockstep walk. Once the chunks cover the whole stream, the
+    unmarked bits are exactly the flagged payloads, in chunk order."""
     nbits = bits.size
-    jumps = np.arange(nbits, dtype=np.int64) + 1 + bits.astype(np.int64) * block_size
-    chain = follow_chain(jumps, 0, nchunks)
+    width = np.int64(block_size)
+
+    def step(pos: np.ndarray) -> np.ndarray:
+        return pos + 1 + bits[pos] * width
+
+    chain, mask = walk_chain(step, nbits, nchunks)
     flags = bits[chain].astype(bool)
-    consumed = int(chain[-1]) + 1 + (block_size if flags[-1] else 0)
+    consumed = int(chain[-1]) + 1 + (block_size if flags[-1] else 0) if nchunks else 0
     if consumed != nbits:
         raise ValueError(
             f"plane group length mismatch: consumed {consumed} of {nbits} bits"
         )
     plane_vals = np.zeros((nchunks, block_size), dtype=np.uint64)
-    flagged = np.flatnonzero(flags)
-    if flagged.size:
-        offsets = chain[flagged][:, None] + 1 + np.arange(block_size)[None, :]
-        plane_vals[flagged] = bits[offsets].astype(np.uint64)
+    plane_vals[flags] = bits[~mask].reshape(-1, block_size)
     return plane_vals, consumed
 
 

@@ -11,9 +11,14 @@ followed by the plane's ``block_size`` raw bits only when the flag is
 set — ZFP's group-testing idea reduced to plane granularity. The
 per-bit inner loops live in :mod:`repro.compressors.kernels`: the
 default ``vector`` backend encodes through a masked bit-matrix flatten
-and decodes through a :func:`~repro.utils.chains.follow_chain` jump
-chain (a chunk is 1 or ``1 + block_size`` bits), while
-``REPRO_KERNELS=scalar`` swaps in the byte-identical reference loops.
+and decodes with the segmented lockstep walk of
+:func:`~repro.utils.chains.walk_chain` (a chunk is 1 or
+``1 + block_size`` bits; lanes started at fixed segment boundaries
+synchronize on the true chunk chain, and a bounded pointer-doubling
+fallback finishes groups whose period never lines up, such as an
+all-flagged group with a constant payload). The payload bits are then
+exactly the bits the chain does not visit. ``REPRO_KERNELS=scalar``
+swaps in the byte-identical reference loops.
 """
 
 from __future__ import annotations

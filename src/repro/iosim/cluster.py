@@ -33,7 +33,7 @@ from repro.hardware.perf import PerfStat
 from repro.hardware.workload import codec_kind, compression_workload, write_workload
 from repro.iosim.dumper import DumpReport, StageReport, stage_frequency
 from repro.iosim.nfs import NfsTarget
-from repro.utils.validation import check_positive
+from repro.utils.validation import check_in_range, check_nonnegative, check_positive
 
 __all__ = ["ClusterDumpReport", "Cluster"]
 
@@ -100,6 +100,25 @@ class Cluster:
     ) -> None:
         if n_nodes < 1:
             raise ValueError(f"n_nodes must be >= 1, got {n_nodes}")
+        from repro.powercap.allocation import DEFAULT_CAP_HYSTERESIS, check_policy
+
+        # The cap settings are checked even without a budget, so a bad
+        # value fails here rather than when a budget is first applied.
+        check_policy(policy)
+        if nfs_reserve_w is not None:
+            check_nonnegative(nfs_reserve_w, "nfs_reserve_w")
+        hysteresis = DEFAULT_CAP_HYSTERESIS if hysteresis is None else hysteresis
+        check_in_range(hysteresis, 0.0, 1.0, "hysteresis")
+        weights = (
+            (1.0,) * n_nodes
+            if work_weights is None
+            else tuple(float(w) for w in work_weights)
+        )
+        if len(weights) != n_nodes:
+            raise ValueError(
+                f"work_weights must have one entry per node, got "
+                f"{len(weights)} for {n_nodes} nodes"
+            )
         self.nfs = nfs if nfs is not None else NfsTarget()
         self.nodes = tuple(
             SimulatedNode(cpu, seed=seed + i) for i in range(n_nodes)
@@ -117,22 +136,8 @@ class Cluster:
                 for i, node in enumerate(self.nodes)
             )
         if power_budget_w is not None:
-            from repro.powercap import (
-                DEFAULT_CAP_HYSTERESIS,
-                DEFAULT_NFS_RESERVE_W,
-                ClusterCapController,
-            )
+            from repro.powercap import DEFAULT_NFS_RESERVE_W, ClusterCapController
 
-            weights = (
-                (1.0,) * self.n_nodes
-                if work_weights is None
-                else tuple(float(w) for w in work_weights)
-            )
-            if len(weights) != self.n_nodes:
-                raise ValueError(
-                    f"work_weights must have one entry per node, got "
-                    f"{len(weights)} for {self.n_nodes} nodes"
-                )
             self.controller = ClusterCapController(
                 power_budget_w,
                 policy=policy,
@@ -140,10 +145,7 @@ class Cluster:
                     DEFAULT_NFS_RESERVE_W if nfs_reserve_w is None
                     else nfs_reserve_w
                 ),
-                hysteresis=(
-                    DEFAULT_CAP_HYSTERESIS if hysteresis is None
-                    else hysteresis
-                ),
+                hysteresis=hysteresis,
             )
             for node_id, node, work in zip(self.node_ids, self.nodes, weights):
                 self.controller.join(

@@ -30,6 +30,7 @@ from repro.powercap.allocation import (
     allocation_makespan,
     apply_hysteresis,
     check_budget_w,
+    check_policy,
     proportional_allocation,
     uniform_allocation,
     waterfill_allocation,
@@ -59,6 +60,7 @@ __all__ = [
     "apply_hysteresis",
     "cap_ghz_for_watts",
     "check_budget_w",
+    "check_policy",
     "node_power_model",
     "phase_caps_for_budget",
     "proportional_allocation",

@@ -36,6 +36,7 @@ __all__ = [
     "DEFAULT_CAP_HYSTERESIS",
     "NodePowerModel",
     "allocate_budget",
+    "check_policy",
     "uniform_allocation",
     "proportional_allocation",
     "waterfill_allocation",
@@ -69,6 +70,16 @@ def check_budget_w(value, name: str = "budget_w") -> float:
     if value <= 0:
         raise ValueError(f"{name} must be positive, got {value!r}")
     return float(value)
+
+
+def check_policy(policy: str) -> str:
+    """Validate an allocation policy name against :data:`ALLOCATION_POLICIES`."""
+    if policy not in ALLOCATION_POLICIES:
+        raise ValueError(
+            f"unknown allocation policy {policy!r}; "
+            f"known: {', '.join(ALLOCATION_POLICIES)}"
+        )
+    return policy
 
 
 @dataclass(frozen=True)
@@ -300,16 +311,12 @@ def allocate_budget(
     demands: Optional[Mapping[str, float]] = None,
 ) -> Dict[str, float]:
     """Dispatch to one of :data:`ALLOCATION_POLICIES` by name."""
+    check_policy(policy)
     if policy == "uniform":
         return uniform_allocation(nodes, budget_w)
     if policy == "proportional":
         return proportional_allocation(nodes, budget_w, demands)
-    if policy == "waterfill":
-        return waterfill_allocation(nodes, budget_w)
-    raise ValueError(
-        f"unknown allocation policy {policy!r}; "
-        f"known: {', '.join(ALLOCATION_POLICIES)}"
-    )
+    return waterfill_allocation(nodes, budget_w)
 
 
 def allocation_makespan(

@@ -40,13 +40,13 @@ from repro.hardware.workload import (
     codec_kind,
 )
 from repro.powercap.allocation import (
-    ALLOCATION_POLICIES,
     DEFAULT_CAP_HYSTERESIS,
     NodePowerModel,
     allocate_budget,
     allocation_makespan,
     apply_hysteresis,
     check_budget_w,
+    check_policy,
 )
 from repro.utils.validation import check_in_range, check_nonnegative
 
@@ -233,12 +233,7 @@ class ClusterCapController:
         demand_window: int = 8,
     ) -> None:
         self.budget_w = check_budget_w(budget_w)
-        if policy not in ALLOCATION_POLICIES:
-            raise ValueError(
-                f"unknown allocation policy {policy!r}; "
-                f"known: {', '.join(ALLOCATION_POLICIES)}"
-            )
-        self.policy = policy
+        self.policy = check_policy(policy)
         check_nonnegative(nfs_reserve_w, "nfs_reserve_w")
         if nfs_reserve_w >= budget_w:
             raise ValueError(

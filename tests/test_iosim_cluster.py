@@ -116,3 +116,19 @@ class TestClusterDump:
         cl = make_cluster(2)
         with pytest.raises(ValueError):
             cl.dump_all(SZCompressor(), np.ones(16, dtype=np.float32), 1e-2, 0)
+
+    @pytest.mark.parametrize("budget", [None, 400.0])
+    @pytest.mark.parametrize(
+        "kw, match",
+        [
+            ({"policy": "nonsense"}, "unknown allocation policy 'nonsense'"),
+            ({"hysteresis": -5}, r"hysteresis must lie in \[0.0, 1.0\]"),
+            ({"hysteresis": 1.5}, r"hysteresis must lie in \[0.0, 1.0\]"),
+            ({"nfs_reserve_w": -1.0}, "nfs_reserve_w must be a finite non-negative"),
+            ({"work_weights": [1.0, 2.0, 3.0]},
+             "work_weights must have one entry per node, got 3 for 2 nodes"),
+        ],
+    )
+    def test_cap_settings_checked_with_or_without_budget(self, kw, match, budget):
+        with pytest.raises(ValueError, match=match):
+            make_cluster(2, power_budget_w=budget, **kw)

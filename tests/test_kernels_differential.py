@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 from repro.compressors import get_compressor, kernels
 from repro.compressors.huffman import HuffmanCodec
 from repro.observability import Tracer, get_registry, use_tracer
+from repro.utils import chains
 from repro.utils.bitio import BitReader, BitWriter
 
 BACKENDS = kernels.backend_names()
@@ -200,6 +201,27 @@ class TestHuffmanKernels:
                     kernels.huffman_lookup_indices(
                         np.array([1, 7], dtype=np.int64), alphabet
                     )
+        # SZ's escape symbol sits far outside the dense range of the
+        # quantization codes: it is found, and its neighbours are not.
+        escape = 2**52
+        alphabet = np.array([-3, 0, 1, 5, escape], dtype=np.int64)
+        found = both_backends(
+            kernels.huffman_lookup_indices,
+            np.array([escape, 5, -3, escape, 0], dtype=np.int64),
+            alphabet,
+        )
+        assert_identical(found)
+        assert found["vector"].tolist() == [4, 3, 0, 4, 1]
+        for missing in (escape + 1, escape - 1, 2, -(2**63)):
+            for backend in BACKENDS:
+                with kernels.use_backend(backend):
+                    with pytest.raises(
+                        KeyError, match=f"symbol {missing} is not in"
+                    ):
+                        kernels.huffman_lookup_indices(
+                            np.array([escape, 1, missing], dtype=np.int64),
+                            alphabet,
+                        )
 
 
 class TestBitPackingKernels:
@@ -284,6 +306,184 @@ class TestZFPKernels:
                     kernels.zfp_decode_plane_group(
                         np.concatenate([bits, bits[:3]]), planes.size, 4
                     )
+
+
+#: Stream length at which the vector decoders walk lanes instead of
+#: doubling: 1.5x the walk threshold, far more than eight segments.
+REAL_BITS = chains.MIN_SEGMENTS * chains.SEGMENT_BITS * 3 // 2
+
+
+def outcome_per_backend(fn, *args):
+    """``{backend: result or ValueError text}``."""
+    out = {}
+    for backend in BACKENDS:
+        with kernels.use_backend(backend):
+            try:
+                out[backend] = fn(*args)
+            except ValueError as exc:
+                out[backend] = str(exc)
+    return out
+
+
+def huffman_bits(codec, symbols):
+    writer = BitWriter()
+    nbits = codec.encode_to(writer, symbols)
+    return BitReader(writer.getvalue()).read_bits_array(nbits)
+
+
+def plane_rows(rng, nblocks, block_size, top):
+    """Negabinary-like rows whose magnitudes vary per block, so plane
+    groups mix 1-bit (zero) and ``1 + block_size``-bit chunks."""
+    widths = rng.integers(0, top + 1, size=(nblocks, 1))
+    return rng.integers(0, 1 << widths, size=(nblocks, block_size)).astype(
+        np.uint64
+    )
+
+
+@pytest.fixture
+def walker_log(monkeypatch):
+    """Count the lockstep walks and record every doubling fallback."""
+    log = {"walks": 0, "fallback_cuts": []}
+    walk, double = chains._walk, chains._double_suffix
+
+    def counted_walk(*args, **kwargs):
+        log["walks"] += 1
+        return walk(*args, **kwargs)
+
+    def recorded_double(step, mask, cut, entry, count):
+        log["fallback_cuts"].append(cut)
+        return double(step, mask, cut, entry, count)
+
+    monkeypatch.setattr(chains, "_walk", counted_walk)
+    monkeypatch.setattr(chains, "_double_suffix", recorded_double)
+    return log
+
+
+class TestChainWalkAtRealSizes:
+    """Multi-segment streams: the vector decoders' segmented walk (and
+    its doubling fallback) against the scalar cursor loops."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_huffman_multi_segment_stream(self, seed, walker_log):
+        rng = np.random.default_rng(seed)
+        symbols = rng.geometric(0.3, size=REAL_BITS // 2).astype(np.int64)
+        codec = HuffmanCodec.from_data(symbols)
+        bits = huffman_bits(codec, symbols)
+        assert bits.size >= REAL_BITS
+
+        decoded = both_backends(codec.decode, bits, symbols.size)
+        assert_identical(decoded)
+        np.testing.assert_array_equal(decoded["vector"], symbols)
+        assert walker_log["fallback_cuts"] == []
+        assert 1 < walker_log["walks"] <= chains.MAX_ROUNDS
+
+    @pytest.mark.parametrize("block_size", [4, 16, 64])
+    def test_zfp_multi_segment_group(self, block_size, walker_log):
+        rng = np.random.default_rng(block_size)
+        planes = np.arange(11, 3, -1, dtype=np.int64)
+        nblocks = 4 * REAL_BITS // (planes.size * block_size)
+        rows = plane_rows(rng, nblocks, block_size, top=12)
+        bits = kernels.zfp_encode_plane_group(rows, planes)
+        assert bits.size >= REAL_BITS
+
+        nchunks = nblocks * planes.size
+        decoded = outcome_per_backend(
+            kernels.zfp_decode_plane_group, bits, nchunks, block_size
+        )
+        for key in (0, 1):
+            np.testing.assert_array_equal(
+                decoded["scalar"][key], decoded["vector"][key]
+            )
+        expected = (rows[:, None, :] >> planes.astype(np.uint64)[None, :, None]) & 1
+        np.testing.assert_array_equal(
+            decoded["vector"][0], expected.reshape(nchunks, block_size)
+        )
+        assert walker_log["fallback_cuts"] == []
+
+    def test_periodic_zfp_group_decodes_through_fallback(self, walker_log):
+        # Every plane of every block is flagged with the payload 1111:
+        # the stream is all ones, every chunk is 5 bits, and a lane that
+        # starts off the 5-bit grid never meets the true chain.
+        block_size, nplanes = 4, 8
+        nblocks = REAL_BITS // (nplanes * (1 + block_size)) + 1
+        rows = np.full((nblocks, block_size), (1 << nplanes) - 1, dtype=np.uint64)
+        planes = np.arange(nplanes - 1, -1, -1, dtype=np.int64)
+        bits = kernels.zfp_encode_plane_group(rows, planes)
+        assert bits.all() and chains.SEGMENT_BITS % (1 + block_size)
+
+        nchunks = nblocks * nplanes
+        decoded = outcome_per_backend(
+            kernels.zfp_decode_plane_group, bits, nchunks, block_size
+        )
+        np.testing.assert_array_equal(decoded["scalar"][0], decoded["vector"][0])
+        assert decoded["vector"][0].all()
+        assert decoded["vector"][1] == bits.size
+        assert walker_log["walks"] == chains.MAX_ROUNDS
+        (cut,) = walker_log["fallback_cuts"]
+        assert 0 < cut < bits.size
+
+    def test_fixed_length_huffman_decodes_through_fallback(self, walker_log):
+        codec = HuffmanCodec(np.arange(8), np.full(8, 3))
+        assert chains.SEGMENT_BITS % 3
+        symbols = np.random.default_rng(3).integers(0, 8, size=REAL_BITS // 3)
+        bits = huffman_bits(codec, symbols)
+
+        decoded = both_backends(codec.decode, bits, symbols.size)
+        assert_identical(decoded)
+        np.testing.assert_array_equal(decoded["vector"], symbols)
+        assert walker_log["walks"] == chains.MAX_ROUNDS
+        assert len(walker_log["fallback_cuts"]) == 1
+
+    @pytest.mark.parametrize(
+        "mangle",
+        [
+            pytest.param(lambda bits, n: (bits[:-3], n), id="truncated-tail"),
+            pytest.param(lambda bits, n: (bits[: bits.size // 2], n), id="half"),
+            pytest.param(
+                lambda bits, n: (np.concatenate([bits, bits[:777]]), n),
+                id="over-long",
+            ),
+            pytest.param(lambda bits, n: (bits, n + 50), id="escaping"),
+            pytest.param(lambda bits, n: (bits, n - 1), id="short-count"),
+        ],
+    )
+    def test_corrupt_zfp_group_fails_identically(self, mangle):
+        rng = np.random.default_rng(11)
+        planes = np.arange(9, 1, -1, dtype=np.int64)
+        nblocks = 4 * REAL_BITS // (planes.size * 16)
+        bits = kernels.zfp_encode_plane_group(
+            plane_rows(rng, nblocks, 16, top=10), planes
+        )
+        bad_bits, nchunks = mangle(bits, nblocks * planes.size)
+        assert bad_bits.size >= REAL_BITS // 2
+
+        results = outcome_per_backend(
+            kernels.zfp_decode_plane_group, bad_bits, nchunks, 16
+        )
+        assert isinstance(results["vector"], str)
+        assert results["vector"] == results["scalar"]
+
+    @pytest.mark.parametrize("how", ["half", "escaping", "over-long"])
+    def test_corrupt_huffman_stream_matches_across_backends(self, how):
+        rng = np.random.default_rng(5)
+        symbols = rng.geometric(0.2, size=REAL_BITS // 3).astype(np.int64)
+        codec = HuffmanCodec.from_data(symbols)
+        bits = huffman_bits(codec, symbols)
+        count = symbols.size
+        if how == "half":
+            bits = bits[: bits.size // 2]
+        elif how == "escaping":
+            count += 10
+        else:
+            bits = np.concatenate([bits, rng.integers(0, 2, 999, dtype=np.uint8)])
+
+        results = outcome_per_backend(codec.decode, bits, count)
+        if how == "over-long":
+            assert_identical(results)
+            np.testing.assert_array_equal(results["vector"], symbols)
+        else:
+            assert results["vector"] == chains.ESCAPE_MSG
+            assert results["scalar"] == results["vector"]
 
 
 class TestSZKernels:

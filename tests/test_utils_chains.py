@@ -1,11 +1,14 @@
-"""Unit + property tests for the pointer-doubling chain extractor."""
+"""Unit + property tests for the chain walkers: the segmented lockstep
+walk (``walk_chain``) and the pointer doubling behind its fallback
+(``follow_chain``)."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.utils.chains import follow_chain
+from repro.utils import chains
+from repro.utils.chains import ESCAPE_MSG, follow_chain, walk_chain
 
 
 def naive_chain(jumps, start, count):
@@ -82,3 +85,74 @@ def naive_chain_until_end(jumps, start, n):
         out.append(pos)
         pos = jumps[pos]
     return out
+
+
+def stepper(steps):
+    steps = np.asarray(steps, dtype=np.int64)
+    return lambda pos: pos + steps[pos]
+
+
+class TestWalkChain:
+    def test_empty_count(self):
+        chain, mask = walk_chain(stepper([1, 1]), 2, 0)
+        assert chain.size == 0 and mask.shape == (2,) and not mask.any()
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            walk_chain(stepper([1]), 1, -1)
+
+    def test_empty_stream_escapes(self):
+        with pytest.raises(ValueError, match=ESCAPE_MSG):
+            walk_chain(stepper([]), 0, 1)
+
+    def test_escape_when_stream_ends_first(self):
+        with pytest.raises(ValueError, match=ESCAPE_MSG):
+            walk_chain(stepper([2, 9, 5]), 3, 3)
+
+    def test_non_advancing_step_rejected(self, monkeypatch):
+        monkeypatch.setattr(chains, "MIN_SEGMENTS", 1)
+        with pytest.raises(ValueError, match="must advance"):
+            walk_chain(lambda pos: pos, 10, 3)
+
+    def test_mask_marks_exactly_the_chain(self, monkeypatch):
+        monkeypatch.setattr(chains, "SEGMENT_BITS", 8)
+        monkeypatch.setattr(chains, "MIN_SEGMENTS", 2)
+        steps = np.random.default_rng(0).integers(1, 6, 400)
+        full = naive_chain_until_end((np.arange(400) + steps).tolist(), 0, 400)
+        chain, mask = walk_chain(stepper(steps), 400, len(full))
+        assert chain.tolist() == full
+        assert np.flatnonzero(mask).tolist() == full
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_naive_walk_across_segment_grids(self, data):
+        # Tiny segments, few rounds and long steps put every path of the
+        # walker to work: synchronized lanes, re-walks that merge or run
+        # out, skipped segments and the doubling fallback.
+        n = data.draw(st.integers(1, 600))
+        period = data.draw(st.integers(1, 12))
+        steps = data.draw(
+            st.one_of(
+                st.lists(st.integers(1, 9), min_size=n, max_size=n),
+                st.lists(st.sampled_from([1, period]), min_size=n, max_size=n),
+                st.just([period] * n),
+                st.lists(st.integers(1, 80), min_size=n, max_size=n),
+            )
+        )
+        jumps = (np.arange(n) + np.array(steps)).tolist()
+        full = naive_chain_until_end(jumps, 0, n)
+        count = data.draw(st.integers(1, len(full) + 2))
+        with pytest.MonkeyPatch.context() as mp:
+            segment = data.draw(st.sampled_from([4, 8, 16, 32]))
+            mp.setattr(chains, "SEGMENT_BITS", segment)
+            mp.setattr(chains, "MAX_ROUNDS", data.draw(st.integers(1, 6)))
+            mp.setattr(chains, "MIN_SEGMENTS", data.draw(st.sampled_from([1, 2, 8])))
+            if count > len(full):
+                with pytest.raises(ValueError, match=ESCAPE_MSG):
+                    walk_chain(stepper(steps), n, count)
+                return
+            chain, mask = walk_chain(stepper(steps), n, count)
+        assert chain.tolist() == full[:count]
+        assert mask[chain].all()
+        if count == len(full):
+            assert np.count_nonzero(mask) == count
